@@ -19,7 +19,8 @@ class HashIndex {
  public:
   explicit HashIndex(std::size_t initial_capacity = 1024);
 
-  /// Inserts or overwrites the mapping for `key`.
+  /// Inserts or overwrites the mapping for `key`. Grows the table
+  /// geometrically; a failed growth (bad_alloc) leaves it unchanged.
   void Upsert(KeyId key, ItemHandle handle);
 
   /// Returns the handle for `key`, or kInvalidHandle.
@@ -27,11 +28,6 @@ class HashIndex {
 
   /// Removes the mapping; returns false if absent.
   bool Erase(KeyId key) noexcept;
-
-  /// Grows the table (never shrinks) so `expected_keys` entries fit without
-  /// triggering a load-factor rehash. Called once up front (the engine sizes
-  /// it from its slot budget) to avoid rehash storms during warmup.
-  void Reserve(std::size_t expected_keys);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }

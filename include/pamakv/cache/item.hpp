@@ -1,10 +1,12 @@
 // Cached item metadata.
 //
-// The simulator caches metadata, not payload bytes: every policy in the
-// paper decides on (key recurrence, size class, miss penalty) alone, and
-// memory use is accounted at slab/slot granularity by SlabPool. `size` is
-// the item's true byte size (used for class routing); `penalty` is the
-// per-key miss penalty the trace attributes to it (GET-miss -> SET gap).
+// Every policy in the paper decides on (key recurrence, size class, miss
+// penalty) alone, and memory use is accounted at slab/slot granularity by
+// SlabPool. `size` is the item's true byte size (used for class routing);
+// `penalty` is the per-key miss penalty the trace attributes to it
+// (GET-miss -> SET gap). The simulator caches this metadata only; an
+// engine with item storage (the server's) also keeps the item's bytes in
+// the slot `slot` points at.
 #pragma once
 
 #include "pamakv/ds/lru_stack.hpp"
@@ -20,6 +22,8 @@ struct Item {
   SubclassId sub = 0;
   /// Position of this item in its subclass LRU stack.
   LruStack::Node* node = nullptr;
+  /// The item's slot in the engine's arena; nullptr without item storage.
+  char* slot = nullptr;
   /// Logical time (access count) of the last touch; used by the Facebook
   /// age-balancing policy and for LRU-age diagnostics.
   AccessClock last_access = 0;

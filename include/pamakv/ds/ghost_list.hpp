@@ -47,8 +47,8 @@ class GhostList {
 
   /// Records an eviction. If the key already has a ghost entry, the stale
   /// entry is dropped first. The oldest entry is overwritten once the ring
-  /// wraps, bounding memory at `capacity` entries.
-  void Push(KeyId key, MicroSecs penalty);
+  /// wraps, bounding memory at `capacity` entries; its key is returned.
+  std::optional<KeyId> Push(KeyId key, MicroSecs penalty);
 
   /// Looks up a key without modifying the list.
   [[nodiscard]] std::optional<Hit> Lookup(KeyId key) const;

@@ -30,6 +30,7 @@
 namespace pamakv::net {
 
 class EventLoop;
+class ShardExecutor;
 
 /// One staged command (one key of a multi-key retrieval becomes one op).
 struct BatchOp {
@@ -104,6 +105,10 @@ class Batch {
   /// The connection's serving loop: remote sub-batch completion posts
   /// `on_complete` here.
   EventLoop* home = nullptr;
+  /// The executor running this batch. Remote sub-batch closures reach it
+  /// through the batch, which keeps them small enough for std::function's
+  /// inline storage: a cross-loop post allocates nothing.
+  ShardExecutor* executor = nullptr;
   /// Invoked on the home loop once every sub-batch is done. Bound once by
   /// Connection::set_executor, so completion allocates nothing per batch.
   std::function<void()> on_complete;

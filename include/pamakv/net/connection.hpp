@@ -166,6 +166,14 @@ class Connection {
   /// the low-water mark.
   [[nodiscard]] bool paused() const noexcept { return paused_; }
   void set_paused(bool paused) noexcept { paused_ = paused; }
+  /// The epoll interest mask the loop last armed for this connection, so
+  /// the loop re-arms only when the mask changes.
+  [[nodiscard]] std::uint32_t armed_events() const noexcept {
+    return armed_events_;
+  }
+  void set_armed_events(std::uint32_t events) noexcept {
+    armed_events_ = events;
+  }
   /// tx backlog at which OnReadable stops pulling bytes (0 = never).
   void set_pause_threshold(std::size_t bytes) noexcept {
     pause_threshold_ = bytes;
@@ -239,6 +247,7 @@ class Connection {
   std::int64_t last_activity_ns_ = 0;
   std::int64_t request_start_ns_ = -1;  ///< -1: no request in flight
   bool paused_ = false;
+  std::uint32_t armed_events_ = 0;
   std::size_t pause_threshold_ = 0;
   const ConnectionMetrics* metrics_ = nullptr;
 

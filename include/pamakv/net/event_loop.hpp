@@ -76,6 +76,10 @@ class EventLoop {
   [[nodiscard]] std::uint64_t cycles() const noexcept {
     return cycles_.load(std::memory_order_relaxed);
   }
+  /// Mod calls (EPOLL_CTL_MOD syscalls) since construction. Thread-safe.
+  [[nodiscard]] std::uint64_t mods() const noexcept {
+    return mods_.load(std::memory_order_relaxed);
+  }
 
   /// Runs a closure on the loop thread (immediately when already on it).
   /// Thread-safe.
@@ -105,6 +109,7 @@ class EventLoop {
   int wake_fd_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> cycles_{0};
+  std::atomic<std::uint64_t> mods_{0};
   std::thread::id loop_thread_;
 
   std::unordered_map<int, std::unique_ptr<Handler>> handlers_;
@@ -120,6 +125,9 @@ class EventLoop {
 
   std::mutex posted_mu_;
   std::vector<std::function<void()>> posted_;
+  /// The batch DrainPosted is running. Swapped with posted_ each round, so
+  /// both keep their capacity and steady posting never reallocates.
+  std::vector<std::function<void()>> draining_;
 };
 
 }  // namespace pamakv::net

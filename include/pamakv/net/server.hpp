@@ -181,6 +181,8 @@ class Server {
   /// while the server sits in an error state proves nothing busy-spins.
   /// Valid only while the server is running.
   [[nodiscard]] std::uint64_t LoopIterations() const;
+  /// Interest-mask re-arms (epoll_ctl MOD) summed across the loop threads.
+  [[nodiscard]] std::uint64_t EpollMods() const;
 
   /// Connections currently mid-request, summed across loops (blocks on a
   /// round-trip through every loop thread; valid only while running).

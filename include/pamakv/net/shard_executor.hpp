@@ -78,6 +78,9 @@ class ShardExecutor {
 
  private:
   void ExecuteGroup(Batch& batch, std::uint32_t shard);
+  /// A remote sub-batch on its owner loop: runs the group, and the last
+  /// sub-batch to finish posts the completion home.
+  void RunRemoteGroup(Batch& batch, std::uint32_t shard);
 
   CacheService* service_;
   bool inline_reads_;

@@ -19,19 +19,17 @@ HashIndex::HashIndex(std::size_t initial_capacity) {
 void HashIndex::Grow() { Rehash(slots_.size() * 2); }
 
 void HashIndex::Rehash(std::size_t new_capacity) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(new_capacity, Slot{});
+  // Allocate before touching the table: a bad_alloc leaves it intact, so
+  // Upsert is strongly exception-safe.
+  std::vector<Slot> old(new_capacity, Slot{});
+  old.swap(slots_);
   mask_ = slots_.size() - 1;
-  size_ = 0;
   for (const Slot& s : old) {
-    if (s.handle != kInvalidHandle) Upsert(s.key, s.handle);
+    if (s.handle == kInvalidHandle) continue;
+    std::size_t pos = IdealSlot(s.key);
+    while (slots_[pos].handle != kInvalidHandle) pos = (pos + 1) & mask_;
+    slots_[pos] = s;
   }
-}
-
-void HashIndex::Reserve(std::size_t expected_keys) {
-  // Same threshold as the insert path: keep load below 0.7.
-  const std::size_t needed = RoundUpPow2(expected_keys * 10 / 7 + 1);
-  if (needed > slots_.size()) Rehash(needed);
 }
 
 void HashIndex::Upsert(KeyId key, ItemHandle handle) {

@@ -87,16 +87,19 @@ void GhostList::Expire(std::size_t slot) {
   if (found != nullptr && found->seq == e.seq) MapEraseSlot(found);
 }
 
-void GhostList::Push(KeyId key, MicroSecs penalty) {
+std::optional<KeyId> GhostList::Push(KeyId key, MicroSecs penalty) {
   // Drop a stale entry for the same key so ranks reflect the newest
   // eviction only.
   Remove(key);
   const std::uint64_t seq = next_seq_++;
   const std::size_t slot = SlotOf(seq);
+  std::optional<KeyId> displaced;
+  if (entries_[slot].live) displaced = entries_[slot].key;
   Expire(slot);
   entries_[slot] = Entry{key, penalty, seq, true};
   live_counts_.Add(slot, +1);
   MapUpsert(key, seq);
+  return displaced;
 }
 
 std::size_t GhostList::LiveNewerThan(std::uint64_t seq) const {

@@ -65,6 +65,7 @@ void EventLoop::Add(int fd, std::uint32_t events, Handler handler) {
 }
 
 void EventLoop::Mod(int fd, std::uint32_t events) {
+  mods_.fetch_add(1, std::memory_order_relaxed);
   epoll_event ev{};
   ev.events = events;
   ev.data.fd = fd;
@@ -163,12 +164,16 @@ void EventLoop::Wake() {
 }
 
 void EventLoop::DrainPosted() {
-  std::vector<std::function<void()>> batch;
   {
     std::lock_guard<std::mutex> lock(posted_mu_);
-    batch.swap(posted_);
+    draining_.swap(posted_);
   }
-  for (auto& fn : batch) fn();
+  // Cleared even if a closure throws, so none can run twice.
+  struct ClearOnExit {
+    std::vector<std::function<void()>>& v;
+    ~ClearOnExit() { v.clear(); }
+  } clear{draining_};
+  for (auto& fn : draining_) fn();
 }
 
 void EventLoop::Run() {

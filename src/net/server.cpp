@@ -346,6 +346,7 @@ void Server::Register(Loop& loop, int fd) {
     loop.loop.Add(fd, EPOLLIN, [this, &loop, raw](std::uint32_t events) {
       HandleEvents(loop, *raw, events);
     });
+    raw->set_armed_events(EPOLLIN);
     ArmLifecycleTimer(loop, *raw);
   } catch (...) {
     // Registration starved (epoll ENOMEM, allocation failure): shed the
@@ -430,11 +431,15 @@ void Server::PostProcess(Loop& loop, Connection& conn, bool open) {
   }
 
   // Interest mask: EPOLLIN unless paused, EPOLLOUT exactly while a
-  // backlog exists (a paused connection always has one).
-  loop.loop.Mod(fd, (conn.paused() ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
-                        (conn.wants_write()
-                             ? static_cast<std::uint32_t>(EPOLLOUT)
-                             : 0u));
+  // backlog exists (a paused connection always has one). Re-armed only on
+  // a change: a steady request/response cycle costs no epoll_ctl.
+  const std::uint32_t events =
+      (conn.paused() ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.wants_write() ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  if (events != conn.armed_events()) {
+    loop.loop.Mod(fd, events);
+    conn.set_armed_events(events);
+  }
   ArmLifecycleTimer(loop, conn);
 }
 
@@ -578,6 +583,12 @@ std::size_t Server::MidRequestConnections() {
 std::uint64_t Server::LoopIterations() const {
   std::uint64_t total = 0;
   for (const auto& loop : loops_) total += loop->loop.cycles();
+  return total;
+}
+
+std::uint64_t Server::EpollMods() const {
+  std::uint64_t total = 0;
+  for (const auto& loop : loops_) total += loop->loop.mods();
   return total;
 }
 

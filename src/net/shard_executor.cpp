@@ -36,6 +36,15 @@ void ShardExecutor::ExecuteGroup(Batch& batch, std::uint32_t shard) {
   service_->ExecuteOps(shard, batch, idx.data(), idx.size());
 }
 
+void ShardExecutor::RunRemoteGroup(Batch& batch, std::uint32_t shard) {
+  ExecuteGroup(batch, shard);
+  if (batch.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Posting a copy of on_complete would copy its (possibly heap-held)
+    // target; the batch outlives the flight, so a reference suffices.
+    batch.home->Post([&batch] { batch.on_complete(); });
+  }
+}
+
 bool ShardExecutor::Execute(Batch& batch, EventLoop* home) {
   const std::size_t shards = service_->shard_count();
   if (batch.groups.size() < shards) batch.groups.resize(shards);
@@ -49,6 +58,7 @@ bool ShardExecutor::Execute(Batch& batch, EventLoop* home) {
     batch.groups[op.shard].push_back(i);
   }
   batch.home = home;
+  batch.executor = this;
   batch.failed.store(false, std::memory_order_relaxed);
   // +1 dispatch guard: completion cannot fire while sub-batches are still
   // being handed out below, even if a remote one finishes instantly.
@@ -85,12 +95,8 @@ bool ShardExecutor::Execute(Batch& batch, EventLoop* home) {
       }
     }
     owner_posts_.fetch_add(1, std::memory_order_relaxed);
-    owner->Post([this, &batch, s] {
-      ExecuteGroup(batch, s);
-      if (batch.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        batch.home->Post(batch.on_complete);
-      }
-    });
+    // Two words of capture: within std::function's inline buffer.
+    owner->Post([&batch, s] { batch.executor->RunRemoteGroup(batch, s); });
   }
   // Drop the dispatch guard. Reaching zero here means every sub-batch
   // already finished (all inline, or a remote one beat us to its

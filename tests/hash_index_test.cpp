@@ -138,24 +138,6 @@ TEST(HashIndexTest, EraseWrapAroundMixedIdealSlots) {
   EXPECT_EQ(idx.Find(head_keys[1]), 21u);
 }
 
-TEST(HashIndexTest, ReserveAvoidsRehashAndPreservesEntries) {
-  HashIndex idx(16);
-  for (KeyId k = 0; k < 10; ++k) idx.Upsert(k, static_cast<ItemHandle>(k + 1));
-  idx.Reserve(50'000);
-  const std::size_t reserved = idx.capacity();
-  EXPECT_GE(reserved, 50'000u);
-  for (KeyId k = 0; k < 10; ++k) {
-    ASSERT_EQ(idx.Find(k), static_cast<ItemHandle>(k + 1));
-  }
-  for (KeyId k = 10; k < 50'000; ++k) {
-    idx.Upsert(k, static_cast<ItemHandle>(k + 1));
-  }
-  EXPECT_EQ(idx.capacity(), reserved) << "Reserve did not prevent rehashing";
-  // Reserve never shrinks.
-  idx.Reserve(16);
-  EXPECT_EQ(idx.capacity(), reserved);
-}
-
 TEST(HashIndexTest, AgreesWithUnorderedMapUnderChurn) {
   HashIndex idx(16);
   std::unordered_map<KeyId, ItemHandle> model;

@@ -2,22 +2,27 @@
 // server's request path: once a connection and the service behind it are
 // warm, the full read→parse→execute→respond cycle must not touch the heap.
 // The connection reuses its rx/tx buffers, the parser works in string_views
-// over the rx buffer, and CacheService recycles entry slots (tombstones are
-// overwritten in place, never erased), so replaying a fixed request mix
-// allocates nothing.
+// over the rx buffer, and CacheService keeps item bytes in the engines' slab
+// arenas (a store writes into a slot, never into a fresh heap string), so
+// replaying a fixed request mix allocates nothing.
 //
 // Requests are prepared as byte streams before the measured window (building
 // std::strings allocates, the connection must not).
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_count.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/connection.hpp"
+#include "pamakv/net/event_loop.hpp"
 #include "pamakv/net/shard_executor.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/clock.hpp"
@@ -160,9 +165,8 @@ TEST(NetAllocationTest, BatchedExecutionStaysAllocationFree) {
   // key/value/out strings and the per-shard group index vectors all keep
   // their capacity across Reset(), so a warm batched connection stages,
   // dispatches and re-sequences without touching the heap. Run inline
-  // (unbound executor) so the measurement is deterministic — the remote
-  // path adds only EventLoop::Post, whose closure queue is the event
-  // loop's own steady-state story.
+  // (unbound executor) so the measurement is deterministic; the remote
+  // path has its own test below.
   util::FakeClock clock;
   CacheServiceConfig cfg;
   cfg.shards = 4;
@@ -228,6 +232,109 @@ TEST(NetAllocationTest, BatchedExecutionStaysAllocationFree) {
   EXPECT_EQ(during, 0u)
       << "batched shard-affine handling allocated " << during << " times";
   EXPECT_GT(executor.Batches(), 0u);
+}
+
+TEST(NetAllocationTest, BoundTwoLoopExecutorStaysAllocationFree) {
+  // The remote path: sub-batches for shards owned by the other loop are
+  // posted there, and the last one posts the completion home. Both posts
+  // carry closures that fit std::function's inline buffer, and both loops'
+  // post queues keep their capacity across drains, so a warm cross-loop
+  // batch allocates nothing on any thread.
+  util::FakeClock clock;
+  CacheServiceConfig cfg;
+  cfg.shards = 4;
+  cfg.capacity_bytes = 2ULL * 1024 * 1024;
+  cfg.clock = &clock;
+  CacheService service(cfg, [](Bytes bytes) {
+    return MakeEngine("memcached", bytes, SizeClassConfig{});
+  });
+  std::vector<std::unique_ptr<EventLoop>> loops;
+  for (int i = 0; i < 2; ++i) loops.push_back(std::make_unique<EventLoop>());
+  // No striped reads: every remote group takes the owner-loop post.
+  ShardExecutorConfig ecfg;
+  ecfg.inline_reads = false;
+  ShardExecutor executor(service, ecfg);
+  executor.Bind({loops[0].get(), loops[1].get()});
+
+  // The connection lives on loop 0. Feeding it posts a one-pointer
+  // closure and blocks on a condition variable: neither allocates.
+  struct Home {
+    explicit Home(CacheService& service) : conn(service) {}
+    void Signal() {
+      std::lock_guard<std::mutex> lock(mu);
+      done = true;
+      cv.notify_all();
+    }
+    void IngestOnLoop() {
+      if (!conn.Ingest(stream->data(), stream->size())) ingest_failed = true;
+      if (!conn.batch_in_flight()) Signal();
+    }
+    void Feed(EventLoop& loop, const std::string& data) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        done = false;
+      }
+      stream = &data;
+      loop.Post([this] { IngestOnLoop(); });
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [this] { return done; });
+      conn.ConsumeOutput(conn.pending_output().size());
+    }
+    Connection conn;
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = true;
+    bool ingest_failed = false;
+    const std::string* stream = nullptr;
+  } home(service);
+  home.conn.set_executor(&executor, 32, loops[0].get(), [&home] {
+    if (!home.conn.batch_in_flight()) home.Signal();
+  });
+  std::vector<std::thread> threads;
+  for (auto& loop : loops) {
+    EventLoop* l = loop.get();
+    threads.emplace_back([l] { l->Run(); });
+  }
+
+  constexpr std::uint64_t kKeySpace = 4'096;
+  Rng rng(11);
+  std::vector<std::string> batches;
+  std::string value;
+  for (int b = 0; b < 64; ++b) {
+    std::string stream;
+    for (int op = 0; op < 32; ++op) {
+      const std::uint64_t k = rng.NextBounded(kKeySpace);
+      const std::string key = "key:" + std::to_string(k);
+      if (rng.NextDouble() < 0.35) {
+        const Bytes size = 64 + (Mix64(k) & 255);
+        value.assign(size, static_cast<char>('a' + k % 26));
+        stream += "set " + key + " 1000 0 " + std::to_string(size) + "\r\n" +
+                  value + "\r\n";
+      } else {
+        stream += "get " + key + "\r\n";
+      }
+    }
+    batches.push_back(std::move(stream));
+  }
+  const auto drive = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (const std::string& stream : batches) home.Feed(*loops[0], stream);
+    }
+  };
+  drive(50);
+
+  const std::uint64_t posts_before = executor.OwnerPosts();
+  const std::uint64_t before = test::AllocationCount();
+  drive(5);
+  const std::uint64_t during = test::AllocationCount() - before;
+  const std::uint64_t posts = executor.OwnerPosts() - posts_before;
+
+  for (auto& loop : loops) loop->Stop();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(during, 0u)
+      << "a warm bound two-loop executor allocated " << during << " times";
+  EXPECT_GT(posts, 0u) << "no sub-batch took the remote path";
+  EXPECT_FALSE(home.ingest_failed);
 }
 
 }  // namespace

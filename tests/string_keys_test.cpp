@@ -1,19 +1,42 @@
+// String-key hashing, and the key verification the server's CacheService
+// performs on top of it: the stored key bytes in an item's slot decide
+// whether a 64-bit id match is really the requested key.
 #include "pamakv/cache/string_keys.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "pamakv/net/cache_service.hpp"
 #include "pamakv/policy/no_realloc.hpp"
 
 namespace pamakv {
 namespace {
 
-StringKeyCache MakeCache(Bytes capacity = 4ULL * 1024 * 1024) {
-  EngineConfig cfg;
+using net::CacheService;
+using net::CacheServiceConfig;
+
+std::unique_ptr<CacheService> MakeService(Bytes capacity = 4ULL * 1024 * 1024) {
+  CacheServiceConfig cfg;
+  cfg.shards = 1;
   cfg.capacity_bytes = capacity;
-  return StringKeyCache(std::make_unique<CacheEngine>(
-      cfg, std::make_unique<NoReallocPolicy>()));
+  return std::make_unique<CacheService>(cfg, [](Bytes bytes) {
+    EngineConfig ecfg;
+    ecfg.capacity_bytes = bytes;
+    return std::make_unique<CacheEngine>(ecfg,
+                                         std::make_unique<NoReallocPolicy>());
+  });
+}
+
+bool Hit(CacheService& svc, std::string_view key) {
+  std::vector<char> out;
+  return svc.Get(key, out, /*with_cas=*/false);
+}
+
+std::string Value(CacheService& svc, std::string_view key) {
+  std::vector<char> out;
+  if (!svc.Get(key, out, /*with_cas=*/false)) return {};
+  return std::string(out.begin(), out.end());
 }
 
 TEST(StringKeyTest, HashIsDeterministicAndSpreads) {
@@ -31,103 +54,111 @@ TEST(StringKeyTest, EmptyAndBinaryKeysWork) {
 }
 
 TEST(StringKeyTest, SetGetDelRoundTrip) {
-  auto cache = MakeCache();
-  EXPECT_TRUE(cache.Set("session:alice", 200, 30'000).stored);
-  EXPECT_TRUE(cache.Get("session:alice", 200, 30'000).hit);
-  EXPECT_FALSE(cache.Get("session:bob", 200, 30'000).hit);
-  EXPECT_TRUE(cache.Contains("session:alice"));
-  EXPECT_TRUE(cache.Del("session:alice"));
-  EXPECT_FALSE(cache.Contains("session:alice"));
-  EXPECT_FALSE(cache.Del("session:alice"));
+  auto svc = MakeService();
+  EXPECT_TRUE(svc->Set("session:alice", 30'000, std::string(200, 'a')));
+  EXPECT_TRUE(Hit(*svc, "session:alice"));
+  EXPECT_FALSE(Hit(*svc, "session:bob"));
+  EXPECT_TRUE(svc->Del("session:alice"));
+  EXPECT_FALSE(Hit(*svc, "session:alice"));
+  EXPECT_FALSE(svc->Del("session:alice"));
 }
 
 TEST(StringKeyTest, ManyKeysNoFalseHits) {
-  auto cache = MakeCache();
+  auto svc = MakeService();
   for (int i = 0; i < 2000; ++i) {
-    cache.Set("item/" + std::to_string(i), 64, 1000);
+    ASSERT_TRUE(svc->Set("item/" + std::to_string(i), 1000, "v"));
   }
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_TRUE(cache.Contains("item/" + std::to_string(i))) << i;
+    EXPECT_TRUE(Hit(*svc, "item/" + std::to_string(i))) << i;
   }
   for (int i = 2000; i < 4000; ++i) {
-    EXPECT_FALSE(cache.Contains("item/" + std::to_string(i))) << i;
+    EXPECT_FALSE(Hit(*svc, "item/" + std::to_string(i))) << i;
   }
-  EXPECT_EQ(cache.collisions_resolved(), 0u);
+  EXPECT_EQ(svc->CollisionsResolved(), 0u);
 }
 
 TEST(StringKeyTest, UpdatesKeepOneCopy) {
-  auto cache = MakeCache();
-  cache.Set("k", 64, 1000);
-  cache.Set("k", 128, 2000);
-  EXPECT_EQ(cache.engine().item_count(), 1u);
-  EXPECT_TRUE(cache.Get("k", 128, 2000).hit);
+  auto svc = MakeService();
+  ASSERT_TRUE(svc->Set("k", 1000, std::string(20, 'x')));
+  // A larger value moves the item to a bigger class: still one copy.
+  ASSERT_TRUE(svc->Set("k", 2000, std::string(300, 'y')));
+  EXPECT_EQ(svc->ItemCount(), 1u);
+  EXPECT_EQ(Value(*svc, "k"), "VALUE k 2000 300\r\n" + std::string(300, 'y') +
+                                  "\r\n");
 }
 
 TEST(StringKeyTest, DelThenReinsertRoundTrip) {
-  auto cache = MakeCache();
-  ASSERT_TRUE(cache.Set("churn", 64, 1000).stored);
-  ASSERT_TRUE(cache.Del("churn"));
-  EXPECT_FALSE(cache.Contains("churn"));
+  auto svc = MakeService();
+  ASSERT_TRUE(svc->Set("churn", 1000, "one"));
+  ASSERT_TRUE(svc->Del("churn"));
+  EXPECT_FALSE(Hit(*svc, "churn"));
   // Reinsert after delete must behave like a fresh store, not an update.
-  const auto r = cache.Set("churn", 128, 2000);
-  ASSERT_TRUE(r.stored);
-  EXPECT_FALSE(r.updated);
-  EXPECT_TRUE(cache.Get("churn", 128, 2000).hit);
-  EXPECT_EQ(cache.engine().item_count(), 1u);
-  EXPECT_EQ(cache.collisions_resolved(), 0u);
+  ASSERT_TRUE(svc->Set("churn", 2000, "two"));
+  EXPECT_EQ(Value(*svc, "churn"), "VALUE churn 2000 3\r\ntwo\r\n");
+  EXPECT_EQ(svc->TotalStats().set_updates, 0u);
+  EXPECT_EQ(svc->ItemCount(), 1u);
+  EXPECT_EQ(svc->CollisionsResolved(), 0u);
 }
 
 // Real 64-bit collisions are astronomically unlikely, so the collision
-// path is exercised by planting an entry directly in the engine under the
-// id that a string hashes to, without registering the string in the
-// verification table — exactly the state a collision would produce (the
-// id is occupied by a key whose stored name doesn't match).
+// path is exercised by planting an item directly in the engine under the
+// id that a string hashes to, without the service writing its key bytes —
+// exactly the state a collision would produce (the id is occupied by an
+// item whose stored key doesn't match).
 TEST(StringKeyTest, GetResolvesCollisionAsMissAndDropsSquatter) {
-  auto cache = MakeCache();
+  auto svc = MakeService();
+  CacheEngine& engine = svc->shard_engine(0);
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
-  ASSERT_TRUE(cache.engine().Contains(id));
+  ASSERT_TRUE(engine.Set(id, 64, 1000).stored);
+  ASSERT_TRUE(engine.Contains(id));
 
   // The squatter must not be served as a hit for "victim".
-  EXPECT_FALSE(cache.Get("victim", 64, 1000).hit);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);
+  EXPECT_FALSE(Hit(*svc, "victim"));
+  EXPECT_EQ(svc->CollisionsResolved(), 1u);
   // ...and it is gone: the id is free for the verified owner.
-  EXPECT_FALSE(cache.engine().Contains(id));
-  ASSERT_TRUE(cache.Set("victim", 64, 1000).stored);
-  EXPECT_TRUE(cache.Get("victim", 64, 1000).hit);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);  // no further collisions
+  EXPECT_FALSE(engine.Contains(id));
+  ASSERT_TRUE(svc->Set("victim", 1000, "mine"));
+  EXPECT_EQ(Value(*svc, "victim"), "VALUE victim 1000 4\r\nmine\r\n");
+  EXPECT_EQ(svc->CollisionsResolved(), 1u);  // no further collisions
 }
 
-TEST(StringKeyTest, DelRefusesToRemoveCollidingStranger) {
-  auto cache = MakeCache();
+TEST(StringKeyTest, DelOfCollidingNameAnswersNotFoundAndDropsSquatter) {
+  auto svc = MakeService();
+  CacheEngine& engine = svc->shard_engine(0);
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
+  ASSERT_TRUE(engine.Set(id, 64, 1000).stored);
 
-  // DEL of a name whose id is occupied by someone else must not remove
-  // that someone else's entry.
-  EXPECT_FALSE(cache.Del("victim"));
-  EXPECT_TRUE(cache.engine().Contains(id));
+  // DEL of a name whose id is occupied by someone else never reports the
+  // stranger as deleted; the squatter is dropped like on every verb.
+  EXPECT_FALSE(svc->Del("victim"));
+  EXPECT_EQ(svc->CollisionsResolved(), 1u);
+  EXPECT_FALSE(engine.Contains(id));
 }
 
 TEST(StringKeyTest, SetResolvesCollisionThenOwnsTheId) {
-  auto cache = MakeCache();
+  auto svc = MakeService();
+  CacheEngine& engine = svc->shard_engine(0);
   const KeyId id = HashStringKey("victim");
-  ASSERT_TRUE(cache.engine().Set(id, 64, 1000).stored);
+  ASSERT_TRUE(engine.Set(id, 64, 1000).stored);
 
-  ASSERT_TRUE(cache.Set("victim", 96, 2000).stored);
-  EXPECT_EQ(cache.collisions_resolved(), 1u);
-  EXPECT_TRUE(cache.Contains("victim"));
-  EXPECT_EQ(cache.engine().item_count(), 1u);
+  ASSERT_TRUE(svc->Set("victim", 2000, std::string(96, 'v')));
+  EXPECT_EQ(svc->CollisionsResolved(), 1u);
+  EXPECT_TRUE(Hit(*svc, "victim"));
+  EXPECT_EQ(svc->ItemCount(), 1u);
 }
 
 TEST(StringKeyTest, StatsFlowThrough) {
-  auto cache = MakeCache();
-  cache.Set("x", 64, 1000);
-  cache.Get("x", 64, 1000);
-  cache.Get("y", 64, 5000);
-  EXPECT_EQ(cache.stats().gets, 2u);
-  EXPECT_EQ(cache.stats().get_hits, 1u);
-  EXPECT_EQ(cache.stats().miss_penalty_total_us, 5000u);
+  CacheServiceConfig cfg;
+  auto svc = MakeService();
+  ASSERT_TRUE(svc->Set("x", 1000, "v"));
+  EXPECT_TRUE(Hit(*svc, "x"));
+  EXPECT_FALSE(Hit(*svc, "y"));
+  const CacheStats stats = svc->TotalStats();
+  EXPECT_EQ(stats.gets, 2u);
+  EXPECT_EQ(stats.get_hits, 1u);
+  // "y" is on no ghost list: the miss is charged the configured default.
+  EXPECT_EQ(stats.miss_penalty_total_us,
+            static_cast<std::uint64_t>(cfg.default_penalty_us));
 }
 
 }  // namespace
