@@ -353,6 +353,24 @@ TEST_F(FlashServiceTest, StoreVerbMatrixOnFlashResidentKey) {
   EXPECT_NE(block.find("\r\nnew\r\n"), std::string::npos);
 }
 
+TEST_F(FlashServiceTest, RefusedStoreDropsTheFlashCopy) {
+  TempDir dir;
+  auto node = MakeNode(dir.path());
+  const std::string key = "refused-key";
+  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+                                 Payload("old")),
+            StoreStatus::kStored);
+  ASSERT_TRUE(EvictToFlash(*node, key, 2000));
+  // Larger than any slot: refused, and the flash-resident older value
+  // must not be served in its place.
+  EXPECT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+                                 std::string(40 * 1024, 'h')),
+            StoreStatus::kNotStored);
+  EXPECT_EQ(node->tier->Find(0, HashStringKey(key)), nullptr);
+  std::string block;
+  EXPECT_FALSE(FlashAwareGet(*node, key, &block));
+}
+
 TEST_F(FlashServiceTest, IncrDecrPromotesThenMutates) {
   TempDir dir;
   auto node = MakeNode(dir.path());

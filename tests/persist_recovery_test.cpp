@@ -199,6 +199,23 @@ TEST_F(PersistRecoveryTest, WalOnlyRoundTripRestoresEveryMutation) {
   EXPECT_EQ(GetsBlock(*warm.service, Key(5)), "");  // deleted stays deleted
 }
 
+TEST_F(PersistRecoveryTest, RefusedStoreStaysRefusedAfterRestart) {
+  TempDir dir;
+  {
+    Node node = MakeNode(dir.path());
+    node.service->Store(net::StoreVerb::kSet, "k", 100, 0, "old");
+    // Larger than any slot: refused, and the older value is dropped.
+    EXPECT_EQ(node.service->Store(net::StoreVerb::kSet, "k", 100, 0,
+                                  std::string(40 * 1024, 'h')),
+              net::StoreStatus::kNotStored);
+    EXPECT_EQ(GetsBlock(*node.service, "k"), "");
+    node.persister->Stop();
+  }
+  // The log recorded the drop, so replay does not bring "old" back.
+  Node warm = MakeNode(dir.path());
+  EXPECT_EQ(GetsBlock(*warm.service, "k"), "");
+}
+
 // ---- snapshot fidelity: layout + ghosts + items ----
 
 TEST_F(PersistRecoveryTest, SnapshotRestoresLayoutGhostsAndItems) {
