@@ -5,7 +5,7 @@
 // penalties — the same stream shape as bench_restart) runs twice per DRAM
 // point over byte-identical request streams: once with DRAM alone, once
 // with the flash tier attached (evictions demote, DRAM misses consult the
-// flash index and promote through the deferred-read path). Every miss
+// flash index and promote through a batch's deferred read). Every miss
 // costs its key's penalty; a flash hit avoids that penalty, and the
 // service's flash_penalty_saved_us counter records exactly the penalty
 // microseconds the tier bought back. The JSON rows make the acceptance
@@ -27,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "pamakv/flash/flash_tier.hpp"
+#include "pamakv/net/batch.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/util/rng.hpp"
 
@@ -135,25 +136,19 @@ RunRow Replay(const BenchParams& p, Bytes capacity, double fraction,
   row.requests = p.requests;
 
   Rng rng(p.seed);
-  std::vector<char> out;
+  // Each get is a batch of one, as a connection runs it; with no IO
+  // thread a flash read completes inside ExecuteBatch.
+  net::Batch batch;
   for (std::uint64_t i = 0; i < p.requests; ++i) {
     Request req = MakeRequest(p.keys, rng);
-    out.clear();
-    bool hit = false;
-    net::CacheService::FlashPending pending;
-    const auto outcome = service.GetFlashAware(
-        req.key, out, /*with_cas=*/false, /*touch=*/false, 0, &hit, &pending);
-    if (outcome == net::CacheService::FlashOutcome::kDeferred) {
-      bool ok = false;
-      std::string payload;
-      service.SubmitFlashRead(pending, nullptr,
-                              [&](bool read_ok, std::string bytes) {
-                                ok = read_ok;
-                                payload = std::move(bytes);
-                              });
-      hit = service.CompleteFlashGet(pending, ok, payload, req.key, out,
-                                     /*with_cas=*/false, /*touch=*/false, 0);
+    batch.Reset();
+    net::BatchOp& op = batch.Push();
+    op.verb = net::Verb::kGet;
+    op.key = req.key;
+    if (!service.ExecuteBatch(batch)) {
+      throw std::runtime_error("a flash read did not complete inline");
     }
+    const bool hit = !op.out.empty();  // a VALUE block; misses write nothing
     if (hit) {
       ++row.hits;
     } else {

@@ -671,7 +671,7 @@ int Main(int argc, char** argv) {
                 "matrix mode: comma list of shard counts (default 4)")
       .Describe("batch-depth",
                 "matrix mode: staged batch depth for spawned servers "
-                "(default 64; 0 = serial per-command path)")
+                "(default 64; at least 1)")
       .Describe("capacity-mb",
                 "matrix mode: spawned server cache capacity (default 256)");
   if (args.HelpRequested()) {
@@ -812,7 +812,7 @@ int Main(int argc, char** argv) {
     const auto shards_list =
         ParseConnectionsList(args.GetString("shards", "4"));
     const auto depth = static_cast<std::size_t>(
-        std::max(0L, args.GetInt("batch-depth", 64)));
+        std::max(1L, args.GetInt("batch-depth", 64)));
     const auto capacity_mb = static_cast<std::uint64_t>(
         std::max(1L, args.GetInt("capacity-mb", 256)));
     for (const std::size_t loops : loops_list) {

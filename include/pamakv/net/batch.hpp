@@ -1,15 +1,21 @@
 // Batch: a connection's staged pipeline of parsed requests, grouped by
-// shard for shard-affine execution.
+// shard for execution.
 //
-// The connection stages up to --batch-depth complete commands into one
-// Batch (keys and payloads copied out of the receive buffer, so the rx
-// vector may grow or compact while the batch is in flight), the
-// ShardExecutor routes the ops to their shard owners, and each op writes
-// its wire reply into its own `out` buffer. When every sub-batch has
-// completed, the connection concatenates the per-op buffers back in
-// request order — the re-sequencing step that makes batched execution
-// byte-identical to the serial path regardless of which shard finished
-// first.
+// Every command runs as part of a batch; a single command is a batch of
+// one. The connection stages up to --batch-depth complete commands into
+// one Batch (keys and payloads copied out of the receive buffer, so the rx
+// vector may grow or compact while the batch is in flight), and
+// CacheService::ExecuteBatch groups the ops by shard and runs each shard's
+// ops in request order under that shard's lock, on the calling thread.
+// Each op writes its wire reply into its own `out` buffer. When every
+// shard's ops have finished, the connection concatenates the per-op
+// buffers back in request order — the re-sequencing step that keeps the
+// response stream in request order whichever shard finished first.
+//
+// An op whose key lives on the flash tier stops its shard's ops: its read
+// is submitted once the shard lock is released, and its completion —
+// posted to the connection's home loop — finishes the op and resumes the
+// shard's remaining ops. Ops of other shards are not held up.
 //
 // Allocation discipline matches the rest of the request path: BatchOp
 // slots, their key/value strings, the per-op output buffers and the
@@ -24,19 +30,27 @@
 #include <string>
 #include <vector>
 
+#include "pamakv/flash/flash_tier.hpp"
 #include "pamakv/net/protocol.hpp"
 #include "pamakv/util/types.hpp"
 
 namespace pamakv::net {
 
-class EventLoop;
-class ShardExecutor;
+/// The flash read a deferred op waits on. Armed by the service (under the
+/// shard lock) when the op's key is flash-resident; the engine has already
+/// been charged the miss, and `cas` pins the slot version so the
+/// completion can detect a delete or overwrite that raced the read.
+struct FlashRead {
+  bool armed = false;
+  std::uint64_t cas = 0;
+  flash::ReadTicket ticket;
+};
 
 /// One staged command (one key of a multi-key retrieval becomes one op).
 struct BatchOp {
   Verb verb = Verb::kGet;
-  KeyId id = 0;              ///< HashStringKey(key), stamped by the executor
-  std::uint32_t shard = 0;   ///< destination shard, stamped by the executor
+  KeyId id = 0;              ///< HashStringKey(key), stamped by the service
+  std::uint32_t shard = 0;   ///< destination shard, stamped by the service
   std::string key;
   std::string value;         ///< storage payload
   std::uint32_t flags = 0;
@@ -49,19 +63,21 @@ struct BatchOp {
   bool append_end = false;   ///< last key of a retrieval: append "END\r\n"
   /// The op produced its reply (including an in-band SERVER_ERROR). Ops
   /// skipped after a mid-batch failure stay false so the connection's
-  /// metrics only observe verbs the engine actually served — the same
-  /// accounting the serial path gets by dropping the connection at the
-  /// failing op.
+  /// metrics only observe verbs the engine actually served.
   bool executed = false;
+  FlashRead flash;           ///< set while the op waits on a flash read
   std::vector<char> out;     ///< this op's wire reply bytes
 };
 
-/// A reusable batch of staged ops plus the executor's completion state.
-/// Owned by the Connection; referenced by owner-loop closures while in
-/// flight, so it must outlive the flight (the server defers connection
-/// teardown until the batch completes).
+/// A reusable batch of staged ops plus its execution state. Owned by the
+/// Connection; referenced by flash-read completions while in flight, so
+/// it must outlive the flight (the server defers connection teardown
+/// until the batch completes).
 class Batch {
  public:
+  /// Runs a closure on the connection's home loop.
+  using Poster = std::function<void(std::function<void()>)>;
+
   /// Next op slot, field-reset but with key/value/out capacity intact.
   BatchOp& Push() {
     if (size_ == ops_.size()) ops_.emplace_back();
@@ -80,6 +96,7 @@ class Batch {
     op.touch = false;
     op.append_end = false;
     op.executed = false;
+    op.flash.armed = false;
     op.out.clear();
     return op;
   }
@@ -91,26 +108,35 @@ class Batch {
     return ops_[i];
   }
 
-  // ---- executor state (set up by ShardExecutor::Execute) ----
-  /// Per-shard op indices (inner vectors keep capacity across batches).
-  std::vector<std::vector<std::uint32_t>> groups;
+  // ---- execution state (set up by CacheService::ExecuteBatch) ----
+  /// One shard's ops, in request order.
+  struct ShardGroup {
+    std::vector<std::uint32_t> ops;  ///< op indices (capacity kept)
+    std::uint32_t next = 0;          ///< first op not yet run
+    /// A flash read for ops[next] is being submitted; a completion that
+    /// lands meanwhile (a tier without an IO thread completes inline)
+    /// sets `landed` and leaves the resume to the submitting loop, so
+    /// synchronous completions loop instead of recursing.
+    bool submitting = false;
+    bool landed = false;
+  };
+  /// Indexed by shard.
+  std::vector<ShardGroup> groups;
   /// Shards with a non-empty group this batch, in first-op order.
   std::vector<std::uint32_t> active_shards;
-  /// Sub-batches still running, plus one dispatch guard held by Execute.
-  /// The decrement that reaches zero-after-guard owns completion.
+  /// Shard groups still running, plus one dispatch guard held by
+  /// ExecuteBatch. The decrement that reaches zero owns completion.
   std::atomic<std::uint32_t> pending{0};
-  /// A non-storage op hit bad_alloc mid-batch: the connection must close
-  /// (the serial path drops the connection in the same situation).
+  /// A non-storage op hit bad_alloc mid-batch: the connection must close.
   std::atomic<bool> failed{false};
-  /// The connection's serving loop: remote sub-batch completion posts
-  /// `on_complete` here.
-  EventLoop* home = nullptr;
-  /// The executor running this batch. Remote sub-batch closures reach it
-  /// through the batch, which keeps them small enough for std::function's
-  /// inline storage: a cross-loop post allocates nothing.
-  ShardExecutor* executor = nullptr;
-  /// Invoked on the home loop once every sub-batch is done. Bound once by
-  /// Connection::set_executor, so completion allocates nothing per batch.
+  /// Where flash-read completions run: the connection's home loop. Empty,
+  /// they run on the thread the tier completes them on — inline on the
+  /// submitting thread for a tier without an IO thread (tests, benches).
+  /// A tier with an IO thread needs a poster.
+  Poster post_home;
+  /// Invoked through post_home once the last deferred op and the ops
+  /// behind it have finished. Bound once by the Connection, so completion
+  /// allocates nothing per batch.
   std::function<void()> on_complete;
 
  private:

@@ -26,6 +26,7 @@
 // place of the refused one.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,6 +48,7 @@ namespace pamakv::net {
 
 class Batch;
 struct BatchOp;
+struct FlashRead;
 enum class Verb : std::uint8_t;
 
 struct CacheServiceConfig {
@@ -98,9 +100,6 @@ struct ArithmeticResult {
 };
 
 // ---- shared wire-reply formatting ----
-// Used by both the serial connection path and the batched executor, so
-// the two execution paths are byte-identical by construction (the
-// equivalence suite asserts it, these make it structural).
 
 /// "STORED\r\n" / "NOT_STORED\r\n" / "EXISTS\r\n" / "NOT_FOUND\r\n".
 [[nodiscard]] std::string_view StoreReplyText(StoreStatus status) noexcept;
@@ -168,11 +167,9 @@ class CacheService {
   /// epoch) has passed is expired on the spot and handled as a miss —
   /// routed to the ghost list of the class/subclass it occupied, so the
   /// key's demand stays visible to the allocation policy.
+  /// A flash-resident key is answered as a miss here; only a batch
+  /// (ExecuteBatch) waits for the tier.
   bool Get(std::string_view key, std::vector<char>& out, bool with_cas);
-
-  /// GAT/GATS: Get that also moves the deadline to `exptime_s` on a hit.
-  bool GetAndTouch(std::string_view key, std::int64_t exptime_s,
-                   std::vector<char>& out, bool with_cas);
 
   /// The six storage verbs. `flags` is the miss penalty in µs (0 => the
   /// configured default); `exptime_s` uses memcached semantics (0 never,
@@ -268,22 +265,42 @@ class CacheService {
     return shards_.size();
   }
 
-  /// Shard index a key id routes to (ShardedCache::ShardIndexFor); the
-  /// executor uses this to group batched ops before taking any lock.
+  /// Shard index a key id routes to (ShardedCache::ShardIndexFor);
+  /// ExecuteBatch uses it to group ops before taking any lock.
   [[nodiscard]] std::size_t ShardIndexForId(KeyId id) const noexcept {
     return ShardedCache::ShardIndexFor(id, shards_.size());
   }
 
-  /// Executes a shard-affine sub-batch: takes shard `index`'s lock once,
-  /// reads the clock once, and runs each listed op in request order,
-  /// writing each op's wire reply into its own buffer. `idx` indexes into
-  /// `batch`; every listed op must already be routed to this shard.
-  void ExecuteOps(std::size_t index, Batch& batch, const std::uint32_t* idx,
-                  std::size_t n);
-  /// ExecuteOps via try_lock: returns false (no ops run) on contention.
-  /// The executor's striped read path calls this off the owner thread.
-  bool TryExecuteOps(std::size_t index, Batch& batch, const std::uint32_t* idx,
-                     std::size_t n);
+  /// Runs a staged batch on the calling thread: stamps each op's key id
+  /// and shard, groups the ops by shard, and runs each shard's ops in
+  /// request order (ExecuteOps). An op whose key is flash-resident stops
+  /// its shard's ops; its read is submitted after the shard lock is
+  /// released, and the completion — run through batch.post_home — finishes
+  /// the op and resumes the shard's remaining ops. Returns true when every
+  /// op finished before returning (the caller sequences the replies now);
+  /// false when a flash read is in flight, in which case batch.on_complete
+  /// runs once the last shard group finishes.
+  bool ExecuteBatch(Batch& batch);
+
+  /// One shard's slice of a batch: takes shard `index`'s lock once, reads
+  /// the clock once, and runs the listed ops in request order, writing
+  /// each op's wire reply into its own buffer. `idx` indexes into `batch`;
+  /// every listed op must already be routed to this shard. Stops at an op
+  /// whose key is flash-resident, leaving its read armed in op.flash (only
+  /// with a tier attached). Returns the number of ops consumed: `n`, or
+  /// the position of that op. Ops skipped after a batch failure count as
+  /// consumed.
+  std::size_t ExecuteOps(std::size_t index, Batch& batch,
+                         const std::uint32_t* idx, std::size_t n);
+
+  /// Batches run and the ops they held (the `executor_batches` and
+  /// `executor_batched_ops` stats).
+  [[nodiscard]] std::uint64_t Batches() const noexcept {
+    return batches_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t BatchedOps() const noexcept {
+    return batched_ops_.load(std::memory_order_relaxed);
+  }
 
   /// Test access: shard `index`'s engine, for snapshot comparisons (and,
   /// mutable, for planting a colliding item). The caller must guarantee
@@ -385,68 +402,6 @@ class CacheService {
   /// copy; survivors get monotonic deadlines against the current anchor.
   void RecoverFlash();
 
-  /// How a flash-aware verb ended: kDone means the reply is complete;
-  /// kDeferred means the key is flash-resident and `pending` carries a
-  /// scheduled read — submit it with SubmitFlashRead and finish the op
-  /// with the matching CompleteFlash* once the payload arrives.
-  enum class FlashOutcome : std::uint8_t { kDone, kDeferred };
-
-  /// One scheduled flash read. The engine was already charged the miss
-  /// (demand visible at schedule time); `cas` pins the slot version so
-  /// the completion can detect delete/overwrite races that happened while
-  /// the read was in flight.
-  struct FlashPending {
-    bool armed = false;
-    std::size_t shard = 0;
-    KeyId id = 0;
-    std::uint64_t cas = 0;
-    flash::ReadTicket ticket;
-  };
-
-  /// Get/GAT that defers instead of missing when the key lives on flash.
-  FlashOutcome GetFlashAware(std::string_view key, std::vector<char>& out,
-                             bool with_cas, bool touch, std::int64_t exptime_s,
-                             bool* hit, FlashPending* pending);
-  /// Store that defers append/prepend on a flash-resident key (the old
-  /// value is on disk); every other verb resolves synchronously from slot
-  /// metadata.
-  FlashOutcome StoreFlashAware(StoreVerb verb, std::string_view key,
-                               std::uint32_t flags, std::int64_t exptime_s,
-                               std::string_view value, std::uint64_t cas_unique,
-                               StoreStatus* status, FlashPending* pending);
-  /// incr/decr that defers on a flash-resident key so the mutation can
-  /// promote-then-mutate atomically under the shard lock (never a bare
-  /// NOT_FOUND while the value sits on flash).
-  FlashOutcome IncrDecrFlashAware(std::string_view key, std::uint64_t delta,
-                                  bool increment, ArithmeticResult* result,
-                                  FlashPending* pending);
-
-  /// Hands the pending read to the tier's IO thread. Call outside the
-  /// shard lock; takes ownership of the ticket fd.
-  void SubmitFlashRead(FlashPending& pending, flash::FlashTier::Poster poster,
-                       flash::FlashTier::ReadCallback cb);
-
-  // Completions, run on the owner loop once the read lands. Each re-takes
-  // the shard lock, revalidates the slot against races (DRAM re-store,
-  // delete, flush_all, re-demotion — detected via the pinned cas),
-  // promotes the record into DRAM through the normal set path (PAMA
-  // accounting stays exact: miss at schedule + set at promote + hit at
-  // serve), then finishes the original verb. When the engine cannot seat
-  // the item the value is served/mutated directly against the tier.
-  bool CompleteFlashGet(const FlashPending& pending, bool read_ok,
-                        std::string_view payload, std::string_view key,
-                        std::vector<char>& out, bool with_cas, bool touch,
-                        std::int64_t exptime_s);
-  StoreStatus CompleteFlashStore(const FlashPending& pending, bool read_ok,
-                                 std::string_view payload, StoreVerb verb,
-                                 std::string_view key, std::uint32_t flags,
-                                 std::int64_t exptime_s, std::string_view value,
-                                 std::uint64_t cas_unique);
-  ArithmeticResult CompleteFlashIncrDecr(const FlashPending& pending,
-                                         bool read_ok, std::string_view payload,
-                                         std::string_view key,
-                                         std::uint64_t delta, bool increment);
-
   // Monotonic <-> unix-ns conversion against the service's (unix, mono)
   // anchor. The *Deadline* pair preserves the expiry sentinels (0 never,
   // negative already-expired); the *Time* pair is plain affine (a
@@ -544,40 +499,43 @@ class CacheService {
                                             std::string_view value,
                                             const SlotHeader& header,
                                             std::int64_t expire_at_ns) const;
-  /// Shared body of Get and GetAndTouch.
-  bool GetInternal(std::string_view key, std::vector<char>& out, bool with_cas,
-                   bool touch, std::int64_t exptime_s);
-
   // Lock-held verb bodies: the public wrappers hash the key, take the
-  // shard lock and read the clock per op; the batched executor calls
-  // these directly with one lock acquisition and one clock read per
-  // sub-batch. Identical logic either way — the wrappers are one-liners.
+  // shard lock and read the clock per op; a batch calls these with one
+  // lock acquisition and one clock read per shard group. A non-null
+  // `flash` lets a flash-resident key defer (the read is armed there)
+  // instead of answering from slot metadata or as a miss.
   bool GetLocked(Shard& shard, KeyId id, std::string_view key,
                  std::vector<char>& out, bool with_cas, bool touch,
                  std::int64_t exptime_s, std::int64_t now,
-                 FlashPending* flash_pending = nullptr);
+                 FlashRead* flash = nullptr);
   StoreStatus StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
                           std::string_view key, std::uint32_t flags,
                           std::int64_t exptime_s, std::string_view value,
                           std::uint64_t cas_unique, std::int64_t now,
-                          FlashPending* flash_pending = nullptr);
+                          FlashRead* flash = nullptr);
   ArithmeticResult IncrDecrLocked(Shard& shard, KeyId id, std::string_view key,
                                   std::uint64_t delta, bool increment,
-                                  std::int64_t now,
-                                  FlashPending* flash_pending = nullptr);
+                                  std::int64_t now, FlashRead* flash = nullptr);
   bool TouchLocked(Shard& shard, KeyId id, std::string_view key,
                    std::int64_t exptime_s, std::int64_t now);
   bool DelLocked(Shard& shard, KeyId id, std::string_view key,
                  std::int64_t now);
-  /// Runs the listed ops in order under the (already held) shard lock.
-  void ExecuteOpsLocked(Shard& shard, Batch& batch, const std::uint32_t* idx,
-                        std::size_t n);
   /// One staged op; wire reply goes into op.out. bad_alloc from a storage
-  /// op degrades to the serial path's SERVER_ERROR reply; from any other
-  /// verb it marks the batch failed (the connection closes, as serial
-  /// would).
-  void ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
-                       std::int64_t now);
+  /// op degrades to an in-band SERVER_ERROR reply; from any other verb it
+  /// marks the batch failed (the connection closes). With `may_defer` a
+  /// flash-resident key arms op.flash and leaves the reply unwritten.
+  /// Returns whether the op found its key: a get hit, a stored store, an
+  /// applied incr/decr, a touched or deleted key.
+  bool ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
+                       std::int64_t now, bool may_defer);
+  /// Runs shard group `shard` of `batch` from its cursor: submits the
+  /// read of each op that defers, and retires the group (the batch's
+  /// pending count) once its last op has run.
+  void RunShardGroup(Batch& batch, std::uint32_t shard);
+  /// A deferred op's read landed: promotes the record and re-runs the op,
+  /// or serves it against the tier when DRAM has no seat for it.
+  void CompleteFlashOp(Batch& batch, BatchOp& op, bool read_ok,
+                       std::string_view payload);
 
   // ---- flash internals (all under the shard lock) ----
 
@@ -589,9 +547,8 @@ class CacheService {
   /// Records the slot's key in the ghost list of the (class, band) it was
   /// demoted from, when that pair still exists in this geometry.
   void GhostRoute(Shard& shard, KeyId id, const flash::Slot& slot);
-  /// Fills *pending with a scheduled read of the slot's record.
-  void ArmFlashRead(Shard& shard, KeyId id, const flash::Slot& slot,
-                    FlashPending* pending);
+  /// Fills *read with a scheduled read of the slot's record.
+  void ArmFlashRead(Shard& shard, const flash::Slot& slot, FlashRead* read);
   /// Demotes every queued eviction (admission-gated by the policy's
   /// incoming slab value), then runs tier GC if the shard is over its
   /// cap. Call after any engine call that can evict.
@@ -613,14 +570,20 @@ class CacheService {
     kPromoted,  ///< record seated in DRAM via the set path; slot erased
     kDirect,    ///< engine refused a seat; serve/mutate against the tier
   };
-  /// Revalidates the pending read against the current shard state and, on
-  /// success, promotes the decoded record (in *rec, viewing `payload`)
-  /// into DRAM preserving cas/stored_at/flush_seq.
+  /// Revalidates a landed read (scheduled at slot version `pinned_cas`)
+  /// against the current shard state and, on success, promotes the
+  /// decoded record (in *rec, viewing `payload`) into DRAM preserving
+  /// cas/stored_at/flush_seq.
   PromoteOutcome PromoteFlashLocked(Shard& shard, KeyId id,
                                     std::string_view key,
-                                    const FlashPending& pending, bool read_ok,
+                                    std::uint64_t pinned_cas, bool read_ok,
                                     std::string_view payload,
                                     flash::Record* rec, std::int64_t now);
+  /// The tier-direct half of a completion (kDirect): the op is answered
+  /// against the flash copy — a get serves it, append/prepend refuse, and
+  /// incr/decr rewrites the record.
+  void ServeFromFlashLocked(Shard& shard, BatchOp& op, const flash::Record& rec,
+                            std::int64_t now);
 
   /// Per-subclass sum of a counter across shards, under each shard's lock.
   template <typename Fn>
@@ -648,6 +611,9 @@ class CacheService {
   util::MetricsRegistry* metrics_ = nullptr;  ///< set by RegisterMetrics
   persist::MutationSink* sink_ = nullptr;     ///< set by SetPersistence
   flash::FlashTier* flash_ = nullptr;         ///< set by AttachFlash
+
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> batched_ops_{0};
 
   mutable std::mutex extra_stats_mu_;
   std::function<void(std::vector<char>&)> extra_stats_;

@@ -7,6 +7,13 @@
 // directly, which is also how the zero-allocation harness measures the
 // read→parse→respond path without socket noise.
 //
+// One execution path: every complete command is staged into the
+// connection's Batch and run by CacheService::ExecuteBatch on the calling
+// loop; a single command is a batch of one. Commands that cannot share a
+// batch (stats, flush_all, version, bgsave, quit, and every error reply)
+// wait until the staged ops have run and are answered by the staging loop
+// itself, so replies always leave in request order.
+//
 // Buffer discipline: one receive and one transmit vector per connection,
 // trimmed by moving a consumed-offset and compacted by memmove — they
 // grow to the connection's high-water mark once and are then reused, so
@@ -27,8 +34,9 @@
 
 namespace pamakv::net {
 
-class EventLoop;
-class ShardExecutor;
+/// Batch depth of a connection nobody configured (server/main.cpp's
+/// --batch-depth default).
+inline constexpr std::size_t kDefaultBatchDepth = 64;
 
 /// Shared per-server instrumentation hooks a Connection records into.
 /// All pointers may be null (that series is simply not recorded); the
@@ -91,57 +99,51 @@ class Connection {
   /// True once Ingest decided the connection should close.
   [[nodiscard]] bool closing() const noexcept { return closing_; }
 
-  // ---- batched (shard-affine) execution ----
-  /// Switches Ingest to the batched path: complete pipelined commands are
-  /// staged into a Batch (up to `depth` ops) and handed to `executor`,
-  /// which routes per-shard sub-batches to their owner loops; responses
-  /// are re-sequenced into request order when the batch completes.
-  /// `home` is the loop this connection is served on (null only with an
-  /// unbound executor, which runs fully inline — the test/bench mode).
-  /// `on_done` fires on the home loop after an asynchronous batch has
-  /// been sequenced (the server flushes output and re-arms timers there);
-  /// it may destroy the connection. nullptr executor restores the serial
-  /// path.
-  void set_executor(ShardExecutor* executor, std::size_t depth,
-                    EventLoop* home, std::function<void()> on_done);
-  /// A dispatched batch has sub-batches still running on other loops.
+  // ---- batched execution ----
+  /// Max commands staged into one batch; 0 is taken as 1 (a single
+  /// command is a batch of one). A multi-key retrieval is never split, so
+  /// a batch may exceed the depth by its keys.
+  void set_batch_depth(std::size_t depth) noexcept {
+    batch_depth_ = depth == 0 ? 1 : depth;
+  }
+  /// Wires where asynchronous work finishes. A flash read's completion is
+  /// run through `post` (the serving loop's Post; empty runs it on the
+  /// tier's completing thread, inline for a tier without an IO thread),
+  /// and `on_done` fires after a batch that waited on flash has been
+  /// sequenced (the server flushes output and re-arms there; it may
+  /// destroy the connection).
+  void set_home(Batch::Poster post, std::function<void()> on_done);
+  /// A batch is waiting on a flash read.
   [[nodiscard]] bool batch_in_flight() const noexcept {
     return batch_in_flight_;
   }
-  /// Completion hook: runs on the home loop when the last sub-batch of an
-  /// asynchronous batch finishes (wired as Batch::on_complete). Public
-  /// for the multi-loop test harness; the server never calls it directly.
+  /// Completion hook: runs on the home loop when the last deferred op of
+  /// an in-flight batch finishes (wired as Batch::on_complete).
   void OnBatchComplete();
+  /// Unconsumed request bytes buffered while a batch is in flight stop
+  /// the reading at this many: rx_ then holds at most this plus one read
+  /// chunk until the batch completes.
+  static constexpr std::size_t kInFlightRxBytes = 64 * 1024;
+  /// True while reading must wait for the in-flight batch (the loop
+  /// disarms EPOLLIN, as it does for backpressure).
+  [[nodiscard]] bool rx_full() const noexcept {
+    return batch_in_flight_ && rx_.size() - rx_head_ >= kInFlightRxBytes;
+  }
+  /// Allocated size of the receive buffer: its high-water mark (tests).
+  [[nodiscard]] std::size_t rx_capacity() const noexcept {
+    return rx_.capacity();
+  }
 
   /// Set by the serving loop when close was requested mid-flight: the fd
-  /// is already torn down, the Connection object waits for the batch (or
-  /// the in-flight flash read).
+  /// is already torn down, the Connection object waits for the batch.
   bool close_deferred = false;
-
-  // ---- flash victim tier (serial path only) ----
-  /// Wires the asynchronous flash-read continuation: completions are
-  /// posted to `loop` (nullptr completes synchronously on the submitting
-  /// thread — detached test connections), and `on_done` fires on that
-  /// loop whenever a completion produced output or finished the request
-  /// (the server flushes and re-arms there; it may destroy the
-  /// connection). The flash path engages whenever the service has a tier
-  /// attached and the connection runs serially.
-  void set_flash(EventLoop* loop, std::function<void()> on_done);
-  /// A flash read is in flight; Ingest only accumulates until it lands.
-  [[nodiscard]] bool flash_in_flight() const noexcept {
-    return flash_in_flight_;
-  }
-  /// Completion entry point (public for the test harness; normally
-  /// reached via the tier's IO thread posting to the wired loop).
-  void OnFlashComplete(bool ok, std::string payload);
 
   // ---- lifecycle state (owned by the serving loop; see server.cpp) ----
   /// A request is in flight: a partial command line, a set awaiting its
   /// payload, an oversized payload still being swallowed, or a batch
-  /// executing on the shard owners.
+  /// waiting on a flash read.
   [[nodiscard]] bool mid_request() const noexcept {
-    return awaiting_data_ || discard_remaining_ > 0 ||
-           rx_head_ < rx_.size() || batch_in_flight_ || flash_in_flight_;
+    return discard_remaining_ > 0 || rx_head_ < rx_.size() || batch_in_flight_;
   }
   /// Records I/O activity at `now_ns` and tracks when the current
   /// in-flight request started (-1 when none is in flight; 0 is a valid
@@ -191,30 +193,29 @@ class Connection {
   std::int64_t armed_deadline_ns = 0;
 
  private:
-  /// Consumes as many complete commands as the buffer holds.
-  void ProcessBuffer();
-  /// Executes one parsed command line; storage verbs switch to data mode.
-  void ExecuteLine(const Command& cmd);
-  void ExecuteRetrieval(const Command& cmd);
-  /// Completes the staged storage verb once its payload has arrived.
-  void FinishStorage(std::string_view data);
   /// Records `verb`'s service time from `start_ns` to now, when wired.
   void ObserveVerb(Verb verb, std::int64_t start_ns) noexcept;
   void ReleaseConsumed();
   void FatalClientError(std::string_view message);
 
-  // ---- batched path ----
-  /// What StageNextCommand decided about the bytes at rx_head_.
+  /// What StageNextCommand did with the bytes at rx_head_.
   enum class StageStatus : std::uint8_t {
-    kStaged,    ///< consumed input (an op staged, or discard progressed)
+    kStaged,    ///< consumed input (an op staged, a barrier run, discard)
     kNeedMore,  ///< incomplete command; wait for more bytes
-    kBarrier,   ///< must not batch: drain the batch, then run serially
+    kBarrier,   ///< must not batch: run the staged ops first
   };
-  /// Stages complete batchable commands and dispatches batches until the
-  /// input runs dry, a batch goes into flight, or the connection closes.
-  void ProcessBatched();
-  /// Parses (without consuming on kNeedMore/kBarrier) the next command.
+  /// Stages complete commands and executes batches until the input runs
+  /// dry, a batch waits on flash, or the connection closes.
+  void ProcessInput();
+  /// Parses the next command and stages it. A command that cannot share
+  /// a batch — a barrier verb, a parse error, an oversized store, a bad
+  /// data chunk, a line too long — returns kBarrier while ops are staged
+  /// and is answered here once the batch is empty.
   StageStatus StageNextCommand();
+  /// Runs stats / flush_all / version / bgsave / quit.
+  void RunBarrierVerb(const Command& cmd);
+  /// kBarrier while ops are staged; otherwise closes with CLIENT_ERROR.
+  StageStatus Fatal(std::string_view message);
   /// Appends every op's reply to tx_ in request order and resets the
   /// batch; closes the connection when the batch failed.
   void SequenceBatch();
@@ -227,19 +228,6 @@ class Connection {
   std::vector<char> tx_;
   std::size_t tx_head_ = 0;   ///< first unsent byte in tx_
 
-  // Pending storage verb (set/add/replace/append/prepend/cas): command
-  // line seen, waiting for <bytes>CRLF of payload. The key is copied out
-  // of rx_ because the buffer may grow/compact while we wait for the rest
-  // of the payload.
-  bool awaiting_data_ = false;
-  Verb pending_verb_ = Verb::kSet;
-  char pending_key_[kMaxKeyBytes];
-  std::size_t pending_key_len_ = 0;
-  std::uint32_t pending_flags_ = 0;
-  std::int64_t pending_exptime_ = 0;
-  std::uint64_t pending_bytes_ = 0;
-  std::uint64_t pending_cas_ = 0;
-  bool pending_noreply_ = false;
   /// Oversized store: swallow this many raw bytes without buffering them.
   std::uint64_t discard_remaining_ = 0;
   bool closing_ = false;
@@ -251,58 +239,11 @@ class Connection {
   std::size_t pause_threshold_ = 0;
   const ConnectionMetrics* metrics_ = nullptr;
 
-  // Batched execution (null executor_ = serial path, the default).
-  ShardExecutor* executor_ = nullptr;
-  std::size_t batch_depth_ = 0;
-  EventLoop* home_loop_ = nullptr;
+  std::size_t batch_depth_ = kDefaultBatchDepth;
   Batch batch_;
   bool batch_in_flight_ = false;
   std::function<void()> on_batch_done_;
   std::int64_t batch_start_ns_ = -1;  ///< dispatch time for verb metrics
-
-  // ---- flash continuation state ----
-  /// Which verb the in-flight flash read belongs to.
-  enum class FlashOp : std::uint8_t { kNone, kRetrieval, kStorage,
-                                      kArithmetic };
-  /// True when the serial path should consult flash (tier attached and
-  /// not running batched).
-  [[nodiscard]] bool FlashActive() const noexcept;
-  /// Arms the continuation for the op the service just deferred; the
-  /// actual submit happens in PumpFlash once the rx cursor is settled.
-  void StageFlashWait(FlashOp op);
-  /// Submits armed reads. Synchronous completions (no IO thread) loop
-  /// here instead of recursing.
-  void PumpFlash();
-  /// Finishes the deferred verb with the read's payload; may arm another
-  /// wait (multi-key retrievals).
-  void DispatchFlashCompletion(bool ok, std::string_view payload);
-  /// Runs the keys left after a mid-retrieval deferral; appends END when
-  /// the list drains without another deferral.
-  void ContinueFlashRetrieval();
-
-  CacheService::FlashPending flash_pending_;
-  FlashOp flash_op_ = FlashOp::kNone;
-  bool flash_in_flight_ = false;
-  bool flash_submit_needed_ = false;
-  bool in_flash_pump_ = false;
-  EventLoop* flash_loop_ = nullptr;
-  std::function<void()> on_flash_done_;
-  // The deferred op's arguments, copied out of rx_ (the buffer may grow
-  // or compact while the read is in flight).
-  std::string flash_key_;
-  std::vector<std::string> flash_rest_keys_;  ///< multi-get remainder
-  std::size_t flash_rest_pos_ = 0;
-  bool flash_with_cas_ = false;
-  bool flash_touch_ = false;
-  std::int64_t flash_exptime_ = 0;
-  std::string flash_value_;
-  std::uint32_t flash_flags_ = 0;
-  std::uint64_t flash_cas_ = 0;
-  std::uint64_t flash_delta_ = 0;
-  bool flash_increment_ = false;
-  bool flash_noreply_ = false;
-  Verb flash_wire_verb_ = Verb::kGet;
-  std::int64_t flash_start_ns_ = -1;  ///< defer time for verb metrics
 };
 
 }  // namespace pamakv::net

@@ -3,10 +3,11 @@
 // One nonblocking listen socket + N event-loop threads. The acceptor runs
 // on loop 0 and hands each accepted connection to a loop round-robin (via
 // EventLoop::Post, so every connection is owned and touched by exactly
-// one loop thread); request handling then locks only the CacheService
-// shard the key routes to. Start() with port 0 binds an ephemeral port —
-// port() reports the real one, which is how the in-process integration
-// tests run against real sockets without fixed-port collisions.
+// one loop thread); request handling runs every batch on the connection's
+// own loop and locks only the CacheService shards its keys route to.
+// Start() with port 0 binds an ephemeral port — port() reports the real
+// one, which is how the in-process integration tests run against real
+// sockets without fixed-port collisions.
 //
 // Connection lifecycle (all knobs in ServerConfig, all off by default
 // except backpressure; every behavior is exercised under a FakeClock in
@@ -45,21 +46,19 @@
 namespace pamakv::net {
 
 class CacheService;
-class ShardExecutor;
 
 struct ServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 11211;  ///< 0 => ephemeral, see Server::port()
   std::size_t threads = 1;     ///< event-loop threads
 
-  // ---- shard-affine execution (DESIGN.md §12) ----
-  /// Max pipelined commands staged into one batch before dispatching to
-  /// the shard owner loops. 0 (the default) keeps the serial per-command
-  /// path; server/main.cpp turns it on at 64.
-  std::size_t batch_depth = 0;
-  /// Striped read fast path: an all-read sub-batch for a remote shard may
-  /// run on the requesting loop under try_lock instead of hopping to the
-  /// owner. Only meaningful with batch_depth > 0.
+  // ---- batched execution (DESIGN.md §12) ----
+  /// Max pipelined commands staged into one batch; 0 is taken as 1 (a
+  /// single command is a batch of one).
+  std::size_t batch_depth = kDefaultBatchDepth;
+  /// Unread. It chose whether reads for another loop's shard skipped the
+  /// hop to that loop; batches no longer hop, so there is nothing left to
+  /// choose. Kept so existing configuration code still compiles.
   bool striped_reads = true;
 
   // ---- lifecycle knobs ----
@@ -220,9 +219,8 @@ class Server {
   /// quiescent draining connection, refresh the epoll interest mask and
   /// lifecycle timers. `open` false forces a close (read side saw EOF).
   void PostProcess(Loop& loop, Connection& conn, bool open);
-  /// Runs on the home loop after a connection's asynchronous work — a
-  /// sequenced batch (set_executor) or a flash-read completion
-  /// (set_flash) — finalizes a deferred close or post-processes the
+  /// Runs on the home loop after a batch that waited on a flash read has
+  /// been sequenced: finalizes a deferred close or post-processes the
   /// fresh output.
   void OnBatchDone(Loop& loop, Connection& conn);
   void CloseConnection(Loop& loop, int fd);
@@ -243,9 +241,6 @@ class Server {
   ServerConfig config_;
   CacheService* service_;
   util::Clock* clock_;
-  /// Shard-affine batch router; non-null only with batch_depth > 0 while
-  /// the server is running (built in Start, released in Teardown).
-  std::unique_ptr<ShardExecutor> executor_;
   /// Latency hooks shared by every connection; inert until EnableMetrics
   /// fills it (clock_ set <=> enabled).
   ConnectionMetrics conn_metrics_;

@@ -1,5 +1,7 @@
 #include "pamakv/net/cache_service.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -313,33 +315,16 @@ persist::WalStore CacheService::WalRecord(std::string_view key,
 
 bool CacheService::Get(std::string_view key, std::vector<char>& out,
                        bool with_cas) {
-  return GetInternal(key, out, with_cas, /*touch=*/false, 0);
-}
-
-bool CacheService::GetAndTouch(std::string_view key, std::int64_t exptime_s,
-                               std::vector<char>& out, bool with_cas) {
-  return GetInternal(key, out, with_cas, /*touch=*/true, exptime_s);
-}
-
-bool CacheService::GetInternal(std::string_view key, std::vector<char>& out,
-                               bool with_cas, bool touch,
-                               std::int64_t exptime_s) {
   const KeyId id = HashStringKey(key);
   Shard& shard = ShardFor(id);
-  bool hit;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    hit = GetLocked(shard, id, key, out, with_cas, touch, exptime_s, NowNs());
-  }
-  // Only the touching variants mutate (deadline refresh -> WAL record).
-  if (touch && sink_ != nullptr) sink_->Commit(shard.index);
-  return hit;
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return GetLocked(shard, id, key, out, with_cas, /*touch=*/false, 0, NowNs());
 }
 
 bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
                              std::vector<char>& out, bool with_cas, bool touch,
                              std::int64_t exptime_s, std::int64_t now,
-                             FlashPending* flash_pending) {
+                             FlashRead* flash) {
   CacheEngine& engine = *shard.engine;
   SlotHeader header;
   const ItemHandle h = LiveUnexpired(shard, id, key, now, &header);
@@ -381,12 +366,12 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
   if (flash::Slot* slot = FlashSlotLive(shard, id, now)) {
     engine.GetMiss(id, slot->penalty,
                    StoredBytes(key.size(), slot->value_size));
-    if (flash_pending != nullptr) {
-      ArmFlashRead(shard, id, *slot, flash_pending);
+    if (flash != nullptr) {
+      ArmFlashRead(shard, *slot, flash);
     } else if (touch) {
-      // Flash-unaware caller (the batched executor — unreachable once the
-      // tier is wired, since flash forces batching off): an ordinary miss,
-      // already charged with the slot's exact size and penalty.
+      // A caller that cannot wait (Get, or a completion's re-run after
+      // the slot was re-demoted): an ordinary miss, already charged with
+      // the slot's exact size and penalty.
       ++shard.counters.touch_misses;
     }
     // Last: a drain can append to the tier and move `slot`.
@@ -427,8 +412,7 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
                                       std::int64_t exptime_s,
                                       std::string_view value,
                                       std::uint64_t cas_unique,
-                                      std::int64_t now,
-                                      FlashPending* flash_pending) {
+                                      std::int64_t now, FlashRead* flash) {
   CacheEngine& engine = *shard.engine;
   // Resolves collisions (the engine's overwrite path must never mix two
   // strings' metadata under one id) and lazily expires a stale copy — an
@@ -453,11 +437,11 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
     case StoreVerb::kAppend:
     case StoreVerb::kPrepend:
       if (!cached) {
-        if (fslot != nullptr && flash_pending != nullptr) {
-          // The old value is on flash: defer; CompleteFlashStore promotes
-          // and re-runs the concat once the read lands. The return value
-          // is a placeholder the deferring caller never reports.
-          ArmFlashRead(shard, id, *fslot, flash_pending);
+        if (fslot != nullptr && flash != nullptr) {
+          // The old value is on flash: defer; the completion promotes and
+          // re-runs the concat once the read lands. The return value is a
+          // placeholder the deferring caller never reports.
+          ArmFlashRead(shard, *fslot, flash);
         }
         return StoreStatus::kNotStored;
       }
@@ -569,7 +553,7 @@ ArithmeticResult CacheService::IncrDecrLocked(Shard& shard, KeyId id,
                                               std::uint64_t delta,
                                               bool increment,
                                               std::int64_t now,
-                                              FlashPending* flash_pending) {
+                                              FlashRead* flash) {
   std::uint64_t& hits =
       increment ? shard.counters.incr_hits : shard.counters.decr_hits;
   std::uint64_t& misses =
@@ -582,8 +566,8 @@ ArithmeticResult CacheService::IncrDecrLocked(Shard& shard, KeyId id,
     // atomically under this lock once the value arrives — never a bare
     // NOT_FOUND while the value sits on flash.
     if (flash::Slot* slot = FlashSlotLive(shard, id, now);
-        slot != nullptr && flash_pending != nullptr) {
-      ArmFlashRead(shard, id, *slot, flash_pending);
+        slot != nullptr && flash != nullptr) {
+      ArmFlashRead(shard, *slot, flash);
       return ArithmeticResult{ArithmeticResult::Status::kNotFound, 0};
     }
     ++misses;
@@ -719,60 +703,115 @@ bool CacheService::DelLocked(Shard& shard, KeyId id, std::string_view key,
   return deleted;
 }
 
-void CacheService::ExecuteOps(std::size_t index, Batch& batch,
-                              const std::uint32_t* idx, std::size_t n) {
+bool CacheService::ExecuteBatch(Batch& batch) {
+  const std::size_t shards = shards_.size();
+  if (batch.groups.size() < shards) batch.groups.resize(shards);
+  for (const std::uint32_t s : batch.active_shards) {
+    batch.groups[s].ops.clear();
+    batch.groups[s].next = 0;
+  }
+  batch.active_shards.clear();
+  for (std::uint32_t i = 0; i < batch.size(); ++i) {
+    BatchOp& op = batch.op(i);
+    op.id = HashStringKey(op.key);
+    op.shard = static_cast<std::uint32_t>(ShardIndexForId(op.id));
+    auto& ops = batch.groups[op.shard].ops;
+    if (ops.empty()) batch.active_shards.push_back(op.shard);
+    ops.push_back(i);
+  }
+  batch.failed.store(false, std::memory_order_relaxed);
+  // +1 dispatch guard: a group that finishes below cannot fire completion
+  // while later groups are still being started.
+  batch.pending.store(
+      static_cast<std::uint32_t>(batch.active_shards.size()) + 1,
+      std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batched_ops_.fetch_add(batch.size(), std::memory_order_relaxed);
+  for (const std::uint32_t s : batch.active_shards) RunShardGroup(batch, s);
+  // Reaching zero here means no op is waiting on a flash read; the
+  // caller sequences the replies right away.
+  return batch.pending.fetch_sub(1, std::memory_order_acq_rel) == 1;
+}
+
+void CacheService::RunShardGroup(Batch& batch, std::uint32_t shard) {
+  Batch::ShardGroup& g = batch.groups[shard];
+  while (g.next < g.ops.size()) {
+    g.next += static_cast<std::uint32_t>(
+        ExecuteOps(shard, batch, g.ops.data() + g.next, g.ops.size() - g.next));
+    if (g.next == g.ops.size()) break;
+    // ops[next] waits on a flash read; the ops behind it wait with it, so
+    // the shard's ops still run in request order. Submit outside the
+    // shard lock.
+    FlashRead& read = batch.op(g.ops[g.next]).flash;
+    read.armed = false;  // the tier owns the ticket fd from here
+    g.submitting = true;
+    g.landed = false;
+    flash_->SubmitRead(shard, read.ticket, batch.post_home,
+                       [this, &batch, shard](bool ok, std::string payload) {
+                         Batch::ShardGroup& group = batch.groups[shard];
+                         CompleteFlashOp(batch, batch.op(group.ops[group.next]),
+                                         ok, payload);
+                         ++group.next;
+                         if (group.submitting) {
+                           group.landed = true;  // the loop below resumes
+                           return;
+                         }
+                         RunShardGroup(batch, shard);
+                       });
+    g.submitting = false;
+    if (!g.landed) return;  // the completion resumes this group
+  }
+  if (batch.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Only a completion can take the last count (ExecuteBatch holds the
+    // guard until every group has started), and completions run on the
+    // home loop: finish the batch right here.
+    batch.on_complete();
+  }
+}
+
+std::size_t CacheService::ExecuteOps(std::size_t index, Batch& batch,
+                                     const std::uint32_t* idx, std::size_t n) {
   Shard& shard = *shards_[index];
+  std::size_t i = 0;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    ExecuteOpsLocked(shard, batch, idx, n);
+    // One clock read covers the group: its ops share one "now", exactly
+    // as if they had all executed back-to-back.
+    const std::int64_t now = NowNs();
+    for (; i < n; ++i) {
+      // Once any op fails the connection is doomed; stop executing so the
+      // engine (and the verb metrics) see only the ops that ran.
+      if (batch.failed.load(std::memory_order_relaxed)) {
+        i = n;
+        break;
+      }
+      BatchOp& op = batch.op(idx[i]);
+      ExecuteOpLocked(shard, batch, op, now, /*may_defer=*/flash_ != nullptr);
+      if (op.flash.armed) break;
+    }
   }
-  // One durability point covers the whole sub-batch — the replies have
-  // not been sequenced to any client yet.
+  // One durability point covers the group — the replies have not been
+  // sequenced to any client yet.
   if (sink_ != nullptr) sink_->Commit(index);
+  return i;
 }
 
-bool CacheService::TryExecuteOps(std::size_t index, Batch& batch,
-                                 const std::uint32_t* idx, std::size_t n) {
-  Shard& shard = *shards_[index];
-  {
-    std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
-    if (!lock.owns_lock()) return false;
-    ExecuteOpsLocked(shard, batch, idx, n);
-  }
-  if (sink_ != nullptr) sink_->Commit(index);
-  return true;
-}
-
-void CacheService::ExecuteOpsLocked(Shard& shard, Batch& batch,
-                                    const std::uint32_t* idx, std::size_t n) {
-  // One clock read covers the sub-batch: ops in one handoff share one
-  // "now", exactly as if they had all executed back-to-back (under a
-  // paused test clock the serial path reads the same value per op, which
-  // is what makes batched and serial execution byte-identical).
-  const std::int64_t now = NowNs();
-  for (std::size_t i = 0; i < n; ++i) {
-    // Once any op fails the connection is doomed; stop executing so the
-    // engine (and the verb metrics) see only the ops that ran — the same
-    // cutoff the serial path gets by closing at the failing command.
-    if (batch.failed.load(std::memory_order_relaxed)) return;
-    ExecuteOpLocked(shard, batch, batch.op(idx[i]), now);
-  }
-}
-
-void CacheService::ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
-                                   std::int64_t now) {
+bool CacheService::ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
+                                   std::int64_t now, bool may_defer) {
+  FlashRead* flash = may_defer ? &op.flash : nullptr;
+  bool found = false;
   try {
-    // Mid-batch injection seam: `oom` starves one op on the owner thread,
-    // `sleep` skews this sub-batch's completion latency (the ordering
-    // suite uses it to force adversarial completion orders).
+    // Mid-batch injection seam: `oom` starves one op, `sleep` skews this
+    // group's latency.
     PAMAKV_FAILPOINT_INJECT("svc.batch");
     switch (op.verb) {
       case Verb::kGet:
       case Verb::kGets:
       case Verb::kGat:
       case Verb::kGats:
-        GetLocked(shard, op.id, op.key, op.out, op.with_cas, op.touch,
-                  op.exptime, now);
+        found = GetLocked(shard, op.id, op.key, op.out, op.with_cas, op.touch,
+                          op.exptime, now, flash);
+        if (op.flash.armed) return false;  // the completion answers
         if (op.append_end) AppendLiteral(op.out, "END\r\n");
         break;
       case Verb::kSet:
@@ -783,56 +822,62 @@ void CacheService::ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
       case Verb::kCas: {
         const StoreStatus status =
             StoreLocked(shard, op.id, ToStoreVerb(op.verb), op.key, op.flags,
-                        op.exptime, op.value, op.cas, now);
+                        op.exptime, op.value, op.cas, now, flash);
+        if (op.flash.armed) return false;
+        found = status == StoreStatus::kStored;
         if (!op.noreply) AppendLiteral(op.out, StoreReplyText(status));
         break;
       }
       case Verb::kIncr:
       case Verb::kDecr: {
-        const ArithmeticResult result = IncrDecrLocked(
-            shard, op.id, op.key, op.delta, op.verb == Verb::kIncr, now);
+        const ArithmeticResult result =
+            IncrDecrLocked(shard, op.id, op.key, op.delta,
+                           op.verb == Verb::kIncr, now, flash);
+        if (op.flash.armed) return false;
+        found = result.status == ArithmeticResult::Status::kOk;
         if (!op.noreply) AppendArithmeticReply(op.out, result);
         break;
       }
       case Verb::kTouch: {
-        const bool touched =
-            TouchLocked(shard, op.id, op.key, op.exptime, now);
+        found = TouchLocked(shard, op.id, op.key, op.exptime, now);
         if (!op.noreply) {
-          AppendLiteral(op.out, touched ? kTouchedReply : kNotFoundReply);
+          AppendLiteral(op.out, found ? kTouchedReply : kNotFoundReply);
         }
         break;
       }
       case Verb::kDelete: {
-        const bool deleted = DelLocked(shard, op.id, op.key, now);
+        found = DelLocked(shard, op.id, op.key, now);
         if (!op.noreply) {
-          AppendLiteral(op.out, deleted ? kDeletedReply : kNotFoundReply);
+          AppendLiteral(op.out, found ? kDeletedReply : kNotFoundReply);
         }
         break;
       }
       default:
-        // Barrier verbs (stats/flush_all/version/quit) never reach the
-        // batch path: the connection drains the batch and runs them on
-        // the serial path.
+        // Barrier verbs (stats/flush_all/version/bgsave/quit) are never
+        // staged: the connection runs them once the batch has drained.
         break;
     }
     op.executed = true;
   } catch (const std::bad_alloc&) {
     op.out.clear();
+    if (op.flash.armed) {
+      // The read was armed before the failure; it will never be submitted.
+      if (op.flash.ticket.fd >= 0) ::close(op.flash.ticket.fd);
+      op.flash.armed = false;
+    }
     if (IsStorageVerb(op.verb)) {
-      // Same recovery as the serial FinishStorage: the store staged its
-      // allocations before mutating, so failing this one op and keeping
-      // the batch (and the connection) is safe — and byte-identical
-      // (FinishStorage observes the verb after its in-band reply, so this
-      // op counts as executed).
+      // The store staged its allocations before mutating, so failing this
+      // one op and keeping the batch (and the connection) is safe.
       if (!op.noreply) AppendLiteral(op.out, kStoreOomReply);
       op.executed = true;
     } else {
-      // The serial path drops the connection when a non-storage verb
-      // throws (Server::HandleEvents catches around OnReadable); flag the
-      // batch so the connection closes after sequencing.
+      // Any other verb cannot answer coherently mid-stream: flag the batch
+      // so the connection closes after sequencing.
       batch.failed.store(true, std::memory_order_relaxed);
     }
+    return false;
   }
+  return found;
 }
 
 void CacheService::FlushAll(std::int64_t delay_s) {
@@ -1185,16 +1230,13 @@ void CacheService::GhostRoute(Shard& shard, KeyId id,
   }
 }
 
-void CacheService::ArmFlashRead(Shard& shard, KeyId id,
-                                const flash::Slot& slot,
-                                FlashPending* pending) {
-  pending->armed = true;
-  pending->shard = shard.index;
-  pending->id = id;
-  pending->cas = slot.cas;
+void CacheService::ArmFlashRead(Shard& shard, const flash::Slot& slot,
+                                FlashRead* read) {
+  read->armed = true;
+  read->cas = slot.cas;
   // A failed dup leaves fd = -1; the read then fails cleanly at
   // completion and the slot is dropped there.
-  pending->ticket = flash_->MakeTicket(shard.index, slot);
+  read->ticket = flash_->MakeTicket(shard.index, slot);
 }
 
 void CacheService::DrainDemotions(Shard& shard, std::int64_t now) {
@@ -1248,7 +1290,7 @@ void CacheService::DrainDemotions(Shard& shard, std::int64_t now) {
 }
 
 CacheService::PromoteOutcome CacheService::PromoteFlashLocked(
-    Shard& shard, KeyId id, std::string_view key, const FlashPending& pending,
+    Shard& shard, KeyId id, std::string_view key, std::uint64_t pinned_cas,
     bool read_ok, std::string_view payload, flash::Record* rec,
     std::int64_t now) {
   if (flash_ == nullptr) return PromoteOutcome::kUseDram;
@@ -1259,7 +1301,7 @@ CacheService::PromoteOutcome CacheService::PromoteFlashLocked(
     return PromoteOutcome::kUseDram;
   }
   flash::Slot* slot = FlashSlotLive(shard, id, now);
-  if (slot == nullptr || slot->cas != pending.cas) {
+  if (slot == nullptr || slot->cas != pinned_cas) {
     // Deleted, flushed, GC-dropped or re-demoted at a different version
     // mid-read: the scheduled read answers nothing; rerun the verb.
     return PromoteOutcome::kUseDram;
@@ -1310,240 +1352,145 @@ CacheService::PromoteOutcome CacheService::PromoteFlashLocked(
   return PromoteOutcome::kPromoted;
 }
 
-CacheService::FlashOutcome CacheService::GetFlashAware(
-    std::string_view key, std::vector<char>& out, bool with_cas, bool touch,
-    std::int64_t exptime_s, bool* hit, FlashPending* pending) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  pending->armed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    *hit = GetLocked(shard, id, key, out, with_cas, touch, exptime_s, NowNs(),
-                     pending);
-  }
-  if (pending->armed) return FlashOutcome::kDeferred;
-  if (touch && sink_ != nullptr) sink_->Commit(shard.index);
-  return FlashOutcome::kDone;
-}
-
-CacheService::FlashOutcome CacheService::StoreFlashAware(
-    StoreVerb verb, std::string_view key, std::uint32_t flags,
-    std::int64_t exptime_s, std::string_view value, std::uint64_t cas_unique,
-    StoreStatus* status, FlashPending* pending) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  pending->armed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    *status = StoreLocked(shard, id, verb, key, flags, exptime_s, value,
-                          cas_unique, NowNs(), pending);
-  }
-  if (pending->armed) return FlashOutcome::kDeferred;
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return FlashOutcome::kDone;
-}
-
-CacheService::FlashOutcome CacheService::IncrDecrFlashAware(
-    std::string_view key, std::uint64_t delta, bool increment,
-    ArithmeticResult* result, FlashPending* pending) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  pending->armed = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    *result = IncrDecrLocked(shard, id, key, delta, increment, NowNs(),
-                             pending);
-  }
-  if (pending->armed) return FlashOutcome::kDeferred;
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return FlashOutcome::kDone;
-}
-
-void CacheService::SubmitFlashRead(FlashPending& pending,
-                                   flash::FlashTier::Poster poster,
-                                   flash::FlashTier::ReadCallback cb) {
-  flash_->SubmitRead(pending.shard, pending.ticket, std::move(poster),
-                     std::move(cb));
-  pending.ticket.fd = -1;  // ownership moved to the tier
-}
-
-bool CacheService::CompleteFlashGet(const FlashPending& pending, bool read_ok,
-                                    std::string_view payload,
-                                    std::string_view key,
-                                    std::vector<char>& out, bool with_cas,
-                                    bool touch, std::int64_t exptime_s) {
-  Shard& shard = *shards_[pending.shard];
-  bool hit = false;
-  {
+void CacheService::CompleteFlashOp(Batch& batch, BatchOp& op, bool read_ok,
+                                   std::string_view payload) {
+  Shard& shard = *shards_[op.shard];
+  try {
     std::lock_guard<std::mutex> lock(shard.mu);
     const std::int64_t now = NowNs();
     flash::Record rec;
     const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
-    switch (outcome) {
-      case PromoteOutcome::kUseDram:
-      case PromoteOutcome::kPromoted:
-        // kPromoted: the engine Get below is the "hit" half of the
-        // miss+set+hit accounting. kUseDram: the verb reruns normally —
-        // a newer DRAM copy serves, anything else is an honest miss.
-        hit = GetLocked(shard, pending.id, key, out, with_cas, touch,
-                        exptime_s, now);
-        if (outcome == PromoteOutcome::kPromoted && hit) {
-          ++shard.counters.flash_hits;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-        }
-        break;
-      case PromoteOutcome::kDirect: {
-        flash::Slot* slot = flash_->FindMutable(shard.index, pending.id);
-        if (slot != nullptr) {
-          if (touch) {
-            // gat against the tier: the deadline moves in the slot (the
-            // on-disk record keeps its TTL until GC rewrites it).
-            slot->expire_at_ns = DeadlineFor(exptime_s, now);
-            slot->stored_at_ns = now;
-            slot->flush_seq = shard.flush_seq;
-            ++shard.counters.touch_hits;
-            if (sink_ != nullptr) {
-              sink_->OnTouch(shard.index, key,
-                             UnixNsOfDeadline(slot->expire_at_ns),
-                             UnixNsOfTime(now));
-            }
-          }
-          AppendValueBlock(out, key, slot->flags, rec.value, slot->cas,
-                           with_cas);
-          hit = true;
-          ++shard.counters.flash_hits;
-          ++shard.counters.flash_direct_serves;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-        }
-        break;
-      }
-    }
-    DrainDemotions(shard, now);
-  }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return hit;
-}
-
-StoreStatus CacheService::CompleteFlashStore(
-    const FlashPending& pending, bool read_ok, std::string_view payload,
-    StoreVerb verb, std::string_view key, std::uint32_t flags,
-    std::int64_t exptime_s, std::string_view value, std::uint64_t cas_unique) {
-  Shard& shard = *shards_[pending.shard];
-  StoreStatus status;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::int64_t now = NowNs();
-    flash::Record rec;
-    const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
+        shard, op.id, op.key, op.flash.cas, read_ok, payload, &rec, now);
     if (outcome == PromoteOutcome::kDirect) {
-      // No DRAM seat to concatenate in: refuse, as memcached refuses a
-      // concat on a missing item. The flash copy stands unchanged.
-      status = StoreStatus::kNotStored;
+      ServeFromFlashLocked(shard, op, rec, now);
     } else {
-      // kPromoted: the entry is live now, so the concat proceeds
-      // normally. kUseDram: rerun against whatever the race left behind.
-      status = StoreLocked(shard, pending.id, verb, key, flags, exptime_s,
-                           value, cas_unique, now);
-      if (outcome == PromoteOutcome::kPromoted &&
-          status == StoreStatus::kStored) {
+      // kPromoted: the re-run is the "hit" half of the miss+set+hit
+      // accounting. kUseDram: the op re-runs against whatever the race
+      // left behind — a newer DRAM copy answers, anything else is an
+      // honest miss (a re-demoted key does not defer a second time).
+      const bool found =
+          ExecuteOpLocked(shard, batch, op, now, /*may_defer=*/false);
+      if (outcome == PromoteOutcome::kPromoted && found) {
         ++shard.counters.flash_hits;
         shard.counters.flash_penalty_saved_us +=
             static_cast<std::uint64_t>(rec.penalty_us);
       }
     }
     DrainDemotions(shard, now);
+  } catch (const std::bad_alloc&) {
+    // Promotion allocates (engine seat, record decode); a starved
+    // completion cannot answer coherently mid-stream, so the connection
+    // closes. The cache staged before mutating and is intact.
+    batch.failed.store(true, std::memory_order_relaxed);
   }
   if (sink_ != nullptr) sink_->Commit(shard.index);
-  return status;
 }
 
-ArithmeticResult CacheService::CompleteFlashIncrDecr(
-    const FlashPending& pending, bool read_ok, std::string_view payload,
-    std::string_view key, std::uint64_t delta, bool increment) {
-  Shard& shard = *shards_[pending.shard];
-  ArithmeticResult result{ArithmeticResult::Status::kNotFound, 0};
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::int64_t now = NowNs();
-    std::uint64_t& hits =
-        increment ? shard.counters.incr_hits : shard.counters.decr_hits;
-    std::uint64_t& misses =
-        increment ? shard.counters.incr_misses : shard.counters.decr_misses;
-    flash::Record rec;
-    const PromoteOutcome outcome = PromoteFlashLocked(
-        shard, pending.id, key, pending, read_ok, payload, &rec, now);
-    if (outcome != PromoteOutcome::kDirect) {
-      result = IncrDecrLocked(shard, pending.id, key, delta, increment, now);
-      if (outcome == PromoteOutcome::kPromoted &&
-          result.status == ArithmeticResult::Status::kOk) {
+void CacheService::ServeFromFlashLocked(Shard& shard, BatchOp& op,
+                                        const flash::Record& rec,
+                                        std::int64_t now) {
+  op.executed = true;
+  flash::Slot* slot = flash_->FindMutable(shard.index, op.id);
+  switch (op.verb) {
+    case Verb::kGet:
+    case Verb::kGets:
+    case Verb::kGat:
+    case Verb::kGats:
+      if (slot != nullptr) {
+        if (op.touch) {
+          // gat against the tier: the deadline moves in the slot (the
+          // on-disk record keeps its TTL until GC rewrites it).
+          slot->expire_at_ns = DeadlineFor(op.exptime, now);
+          slot->stored_at_ns = now;
+          slot->flush_seq = shard.flush_seq;
+          ++shard.counters.touch_hits;
+          if (sink_ != nullptr) {
+            sink_->OnTouch(shard.index, op.key,
+                           UnixNsOfDeadline(slot->expire_at_ns),
+                           UnixNsOfTime(now));
+          }
+        }
+        AppendValueBlock(op.out, op.key, slot->flags, rec.value, slot->cas,
+                         op.with_cas);
         ++shard.counters.flash_hits;
+        ++shard.counters.flash_direct_serves;
         shard.counters.flash_penalty_saved_us +=
             static_cast<std::uint64_t>(rec.penalty_us);
       }
-    } else if (flash::Slot* slot =
-                   flash_->FindMutable(shard.index, pending.id)) {
-      // Promote-then-mutate with no DRAM seat: mutate the flash copy in
-      // place — a fresh record under a fresh cas — atomically under this
-      // lock. The client never sees NOT_FOUND for a value that exists.
-      std::uint64_t next = 0;
-      if (!ApplyDelta(rec.value, delta, increment, &next)) {
-        result = ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
-      } else {
-        char buf[20];
-        const auto conv = std::to_chars(buf, buf + sizeof buf, next);
-        const std::size_t len = static_cast<std::size_t>(conv.ptr - buf);
-        flash::FlashTier::DemoteMeta meta;
-        meta.key = key;
-        meta.value = std::string_view(buf, len);
-        meta.flags = slot->flags;
-        meta.cas = ++shard.cas_counter;
-        meta.penalty = slot->penalty;
-        meta.cls = slot->cls;
-        meta.band = slot->band;
-        meta.expire_at_ns = slot->expire_at_ns;
-        meta.stored_at_ns = now;  // mutation rescues from a pending flush
-        meta.expire_unix_ns = UnixNsOfDeadline(slot->expire_at_ns);
-        meta.stored_unix_ns = UnixNsOfTime(now);
-        meta.flush_seq = shard.flush_seq;
-        if (flash_->AppendItem(shard.index, pending.id, meta)) {
-          ++hits;
-          ++shard.counters.flash_hits;
-          ++shard.counters.flash_direct_serves;
-          shard.counters.flash_penalty_saved_us +=
-              static_cast<std::uint64_t>(rec.penalty_us);
-          if (sink_ != nullptr) {
-            // Views of live buffers: a std::string temporary here would
-            // dangle before OnStore reads it.
-            persist::WalStore wrec;
-            wrec.key = meta.key;
-            wrec.value = meta.value;
-            wrec.flags = meta.flags;
-            wrec.expire_unix_ns = meta.expire_unix_ns;
-            wrec.stored_unix_ns = meta.stored_unix_ns;
-            wrec.cas = meta.cas;
-            sink_->OnStore(shard.index, wrec);
-          }
-          result = ArithmeticResult{ArithmeticResult::Status::kOk, next};
-        } else {
-          // The mutated record could not be appended. Keeping the old
-          // record would hand every retry the same stale value, so drop
-          // it: the client sees NOT_FOUND, same as racing an eviction.
-          GhostRoute(shard, pending.id, *slot);
-          flash_->EraseWithTombstone(shard.index, pending.id, key);
-          ++misses;
-        }
+      if (op.append_end) AppendLiteral(op.out, "END\r\n");
+      return;
+    case Verb::kIncr:
+    case Verb::kDecr:
+      break;
+    default:
+      // append/prepend with no DRAM seat to concatenate in: refuse, as
+      // memcached refuses a concat on a missing item. The flash copy
+      // stands unchanged.
+      if (!op.noreply) {
+        AppendLiteral(op.out, StoreReplyText(StoreStatus::kNotStored));
       }
+      return;
+  }
+  const bool increment = op.verb == Verb::kIncr;
+  std::uint64_t& hits =
+      increment ? shard.counters.incr_hits : shard.counters.decr_hits;
+  std::uint64_t& misses =
+      increment ? shard.counters.incr_misses : shard.counters.decr_misses;
+  ArithmeticResult result{ArithmeticResult::Status::kNotFound, 0};
+  std::uint64_t next = 0;
+  if (slot == nullptr) {
+    ++misses;
+  } else if (!ApplyDelta(rec.value, op.delta, increment, &next)) {
+    result = ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
+  } else {
+    // Promote-then-mutate with no DRAM seat: mutate the flash copy in
+    // place — a fresh record under a fresh cas — atomically under this
+    // lock. The client never sees NOT_FOUND for a value that exists.
+    char buf[20];
+    const auto conv = std::to_chars(buf, buf + sizeof buf, next);
+    const std::size_t len = static_cast<std::size_t>(conv.ptr - buf);
+    flash::FlashTier::DemoteMeta meta;
+    meta.key = op.key;
+    meta.value = std::string_view(buf, len);
+    meta.flags = slot->flags;
+    meta.cas = ++shard.cas_counter;
+    meta.penalty = slot->penalty;
+    meta.cls = slot->cls;
+    meta.band = slot->band;
+    meta.expire_at_ns = slot->expire_at_ns;
+    meta.stored_at_ns = now;  // mutation rescues from a pending flush
+    meta.expire_unix_ns = UnixNsOfDeadline(slot->expire_at_ns);
+    meta.stored_unix_ns = UnixNsOfTime(now);
+    meta.flush_seq = shard.flush_seq;
+    if (flash_->AppendItem(shard.index, op.id, meta)) {
+      ++hits;
+      ++shard.counters.flash_hits;
+      ++shard.counters.flash_direct_serves;
+      shard.counters.flash_penalty_saved_us +=
+          static_cast<std::uint64_t>(rec.penalty_us);
+      if (sink_ != nullptr) {
+        // Views of live buffers: a std::string temporary here would
+        // dangle before OnStore reads it.
+        persist::WalStore wrec;
+        wrec.key = meta.key;
+        wrec.value = meta.value;
+        wrec.flags = meta.flags;
+        wrec.expire_unix_ns = meta.expire_unix_ns;
+        wrec.stored_unix_ns = meta.stored_unix_ns;
+        wrec.cas = meta.cas;
+        sink_->OnStore(shard.index, wrec);
+      }
+      result = ArithmeticResult{ArithmeticResult::Status::kOk, next};
     } else {
+      // The mutated record could not be appended. Keeping the old record
+      // would hand every retry the same stale value, so drop it: the
+      // client sees NOT_FOUND, same as racing an eviction.
+      GhostRoute(shard, op.id, *slot);
+      flash_->EraseWithTombstone(shard.index, op.id, op.key);
       ++misses;
     }
-    DrainDemotions(shard, now);
   }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return result;
+  if (!op.noreply) AppendArithmeticReply(op.out, result);
 }
 
 CacheStats CacheService::TotalStats() const {

@@ -17,7 +17,6 @@
 
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/protocol.hpp"
-#include "pamakv/net/shard_executor.hpp"
 #include "pamakv/net/syscall.hpp"
 
 namespace pamakv::net {
@@ -115,23 +114,9 @@ void Server::Start() {
     // The acceptor lives on loop 0.
     loops_[0]->loop.Add(listen_fd_, EPOLLIN,
                         [this](std::uint32_t) { Accept(); });
-    if (config_.batch_depth > 0 && !service_->flash_enabled()) {
-      // Shard-affine mode: bind every shard to an owner loop before the
-      // threads spawn, so ownership is immutable while they run. A flash
-      // tier forces the serial path instead — the batched executor would
-      // answer flash residents as plain misses, defeating the tier.
-      ShardExecutorConfig exec_config;
-      exec_config.inline_reads = config_.striped_reads;
-      executor_ = std::make_unique<ShardExecutor>(*service_, exec_config);
-      std::vector<EventLoop*> owner_loops;
-      owner_loops.reserve(loops_.size());
-      for (auto& loop : loops_) owner_loops.push_back(&loop->loop);
-      executor_->Bind(owner_loops);
-    }
   } catch (...) {
     // A loop failed to build (epoll/eventfd exhaustion): release what
     // Start already took so a later retry begins from a clean slate.
-    executor_.reset();
     loops_.clear();
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -226,7 +211,6 @@ void Server::Teardown() {
   // Loop threads are gone; tearing down connection maps is race-free now.
   for (auto& loop : loops_) loop->conns.clear();
   loops_.clear();
-  executor_.reset();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -330,17 +314,13 @@ void Server::Register(Loop& loop, int fd) {
     conn->set_pause_threshold(config_.tx_pause_bytes);
     if (conn_metrics_.clock != nullptr) conn->set_metrics(&conn_metrics_);
     Connection* raw = conn.get();
-    if (executor_ != nullptr) {
-      raw->set_executor(executor_.get(), config_.batch_depth, &loop.loop,
-                        [this, &loop, raw] { OnBatchDone(loop, *raw); });
-    }
-    if (service_->flash_enabled()) {
-      // Flash completions post back to this loop and finish through the
-      // same tail as batches: flush fresh output, or finalize a deferred
-      // close.
-      raw->set_flash(&loop.loop,
-                     [this, &loop, raw] { OnBatchDone(loop, *raw); });
-    }
+    raw->set_batch_depth(config_.batch_depth);
+    // Flash-read completions post back to this loop; a batch that waited
+    // on one finishes through OnBatchDone: flush fresh output, or finalize
+    // a deferred close.
+    raw->set_home(
+        [&loop](std::function<void()> fn) { loop.loop.Post(std::move(fn)); },
+        [this, &loop, raw] { OnBatchDone(loop, *raw); });
     conn->Touch(clock_->NowNanos());
     loop.conns[fd] = std::move(conn);
     loop.loop.Add(fd, EPOLLIN, [this, &loop, raw](std::uint32_t events) {
@@ -430,11 +410,13 @@ void Server::PostProcess(Loop& loop, Connection& conn, bool open) {
     return;
   }
 
-  // Interest mask: EPOLLIN unless paused, EPOLLOUT exactly while a
+  // Interest mask: EPOLLIN unless paused or waiting on a batch with a
+  // batch's worth of input already buffered, EPOLLOUT exactly while a
   // backlog exists (a paused connection always has one). Re-armed only on
   // a change: a steady request/response cycle costs no epoll_ctl.
   const std::uint32_t events =
-      (conn.paused() ? 0u : static_cast<std::uint32_t>(EPOLLIN)) |
+      (conn.paused() || conn.rx_full() ? 0u
+                                       : static_cast<std::uint32_t>(EPOLLIN)) |
       (conn.wants_write() ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
   if (events != conn.armed_events()) {
     loop.loop.Mod(fd, events);
@@ -531,12 +513,11 @@ void Server::CloseConnection(Loop& loop, int fd) {
     conn.lifecycle_timer = kInvalidTimer;
   }
   loop.loop.Del(fd);
-  if (conn.batch_in_flight() || conn.flash_in_flight()) {
-    // Sub-batches on other loops (or the flash IO thread's completion
-    // callback) still hold pointers into this connection; destroying it
-    // now would be a use-after-free. The socket is deregistered above,
-    // the object lingers untouched until OnBatchComplete/OnFlashComplete
-    // routes back here through OnBatchDone.
+  if (conn.batch_in_flight()) {
+    // A flash read's completion still holds pointers into this
+    // connection's batch; destroying it now would be a use-after-free.
+    // The socket is deregistered above, the object lingers untouched
+    // until OnBatchComplete routes back here through OnBatchDone.
     conn.close_deferred = true;
     return;
   }
@@ -550,7 +531,7 @@ void Server::OnBatchDone(Loop& loop, Connection& conn) {
   if (conn.close_deferred) {
     // The close already tore down the timer and epoll registration; all
     // that is left is destroying the object, which is safe now that the
-    // last sub-batch finished.
+    // batch has finished.
     conn.close_deferred = false;
     const auto it = loop.conns.find(fd);
     if (it == loop.conns.end()) return;
@@ -607,7 +588,8 @@ void Server::AppendServerStats(std::vector<char>& out) const {
   AppendStat(out, "reaped_items", reaped_items());
   AppendStat(out, "reap_failures", reap_failures());
   AppendStat(out, "loop_iterations", LoopIterations());
-  if (executor_ != nullptr) executor_->AppendExecutorStats(out);
+  AppendStat(out, "executor_batches", service_->Batches());
+  AppendStat(out, "executor_batched_ops", service_->BatchedOps());
 }
 
 }  // namespace pamakv::net

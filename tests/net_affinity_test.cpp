@@ -1,27 +1,29 @@
 // Shard-affinity ordering/equivalence suite (DESIGN.md §12).
 //
-// The shard-affine data path re-orders *execution* (per-shard sub-batches
-// run concurrently on their owner loops) but must never re-order
-// *observation*: the response stream of a pipelined connection has to be
-// byte-identical to the serial per-command path, and every shard engine
-// has to end in exactly the state serial execution would have left. Three
-// layers of proof:
+// Every command runs as a batch: CacheService::ExecuteBatch groups a
+// connection's staged ops by shard and runs each shard's ops in request
+// order under that shard's lock. That re-orders *execution* across shards
+// but must never re-order *observation*: the response stream of a
+// pipelined connection has to be byte-identical to executing the commands
+// one at a time, and every shard engine has to end in exactly that
+// state. The reference is the golden corpus captured from the serial
+// per-command path before it was deleted (affinity_golden.hpp): reply
+// bytes per fed chunk plus a digest of every shard's EngineSnapshot and
+// the service counters. Four layers of proof:
 //
 //  * a handcrafted pipeline covering every verb family, the barrier verbs,
-//    parse errors and noreply — byte-compared against a serial reference;
-//  * a 400-deep cross-shard pipeline on a real multi-loop executor, with
-//    per-op sleep injection (chaos builds) skewing sub-batch latencies so
-//    completion order is adversarial while response order must not be;
-//  * a seeded random property test driving the same op stream through the
-//    serial path, the inline batched path and a multi-loop executor, then
-//    comparing wire bytes, per-shard EngineSnapshots and service counters.
-//    The seed is printed and replayable via PAMAKV_AFFINITY_SEED, like the
-//    chaos storm.
+//    parse errors, noreply, an oversized store and a bad data chunk;
+//  * a 400-deep cross-shard pipeline served from a loop thread, with
+//    per-op sleep injection (chaos builds) skewing group latencies;
+//  * a seeded random property test driving the same op stream inline and
+//    from a loop thread, compared chunk by chunk. The seed is printed and
+//    replayable via PAMAKV_AFFINITY_SEED (seeds outside the corpus only
+//    compare the two executions with each other);
+//  * a pipeline fed one byte at a time.
 //
 // All services run on paused FakeClocks (advanced only while quiescent),
-// so the one-clock-read-per-sub-batch optimization is observationally
-// identical to serial per-op reads — which is exactly the invariant that
-// makes it legal.
+// so one clock read per shard group is observationally identical to one
+// read per op — which is exactly the invariant that makes it legal.
 
 #include <gtest/gtest.h>
 
@@ -39,70 +41,47 @@
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/connection.hpp"
 #include "pamakv/net/event_loop.hpp"
-#include "pamakv/net/shard_executor.hpp"
-#include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/failpoint.hpp"
-#include "pamakv/util/rng.hpp"
-#include "engine_snapshot.hpp"
+#include "affinity_golden.hpp"
 
 namespace pamakv::net {
 namespace {
 
 using namespace std::chrono_literals;
+using golden::MakeService;
 
-std::unique_ptr<CacheService> MakeService(util::Clock* clock,
-                                          std::size_t shards) {
-  CacheServiceConfig cfg;
-  cfg.shards = shards;
-  cfg.capacity_bytes = 8ULL * 1024 * 1024;
-  cfg.clock = clock;
-  cfg.unix_now_s = 1'700'000'000;  // pin the absolute-exptime anchor
-  return std::make_unique<CacheService>(cfg, [](Bytes bytes) {
-    return MakeEngine("memcached", bytes, SizeClassConfig{});
-  });
-}
-
-/// N event loops, each running on its own thread (their timers use the
-/// real SteadyClock — the service under test keeps its FakeClock).
-class LoopPool {
+/// One event loop on its own thread (its timers use the real SteadyClock —
+/// the service under test keeps its FakeClock).
+class LoopThread {
  public:
-  explicit LoopPool(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      loops_.push_back(std::make_unique<EventLoop>());
-    }
-    for (auto& loop : loops_) {
-      EventLoop* l = loop.get();
-      threads_.emplace_back([l] { l->Run(); });
-    }
+  LoopThread() : thread_([this] { loop_.Run(); }) {}
+  ~LoopThread() {
+    loop_.Stop();
+    thread_.join();
   }
-  ~LoopPool() {
-    for (auto& loop : loops_) loop->Stop();
-    for (auto& t : threads_) t.join();
-  }
-  [[nodiscard]] std::vector<EventLoop*> ptrs() const {
-    std::vector<EventLoop*> out;
-    for (const auto& loop : loops_) out.push_back(loop.get());
-    return out;
-  }
-  [[nodiscard]] EventLoop& at(std::size_t i) { return *loops_[i]; }
+  [[nodiscard]] EventLoop& loop() { return loop_; }
 
  private:
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  std::vector<std::thread> threads_;
+  EventLoop loop_;
+  std::thread thread_;
 };
 
-/// Drives a batched Connection: Ingest runs on the home loop (or inline
-/// for an unbound executor) and Feed blocks until every batch the input
-/// staged has completed and been sequenced.
+/// Drives a Connection: Ingest runs on the home loop (or inline when
+/// there is none) and Feed blocks until every batch the input staged has
+/// completed and been sequenced.
 class BatchedHarness {
  public:
-  BatchedHarness(CacheService& service, ShardExecutor* executor,
-                 EventLoop* home, std::size_t depth)
+  BatchedHarness(CacheService& service, EventLoop* home, std::size_t depth)
       : conn_(service), home_(home) {
-    conn_.set_executor(executor, depth, home, [this] {
-      if (!conn_.batch_in_flight()) Signal();
-    });
+    conn_.set_batch_depth(depth);
+    if (home != nullptr) {
+      conn_.set_home(
+          [home](std::function<void()> fn) { home->Post(std::move(fn)); },
+          [this] {
+            if (!conn_.batch_in_flight()) Signal();
+          });
+    }
   }
 
   void Feed(std::string_view data) {
@@ -144,299 +123,100 @@ class BatchedHarness {
   bool done_ = true;
 };
 
-/// Serial reference: the untouched per-command path.
-std::string RunSerial(Connection& conn, std::string_view data) {
-  conn.Ingest(data.data(), data.size());
-  std::string out(conn.pending_output());
-  conn.ConsumeOutput(out.size());
-  return out;
+/// The reply without `STAT failpoint.*` lines. Failpoint builds append
+/// one per failpoint tripped so far in the process, so they depend on
+/// which tests ran before; the corpus comes from a build without them.
+std::string WithoutFailpointStats(std::string reply) {
+#if PAMAKV_FAILPOINTS
+  constexpr std::string_view kLine = "STAT failpoint.";
+  for (std::size_t at = reply.find(kLine); at != std::string::npos;
+       at = reply.find(kLine, at)) {
+    reply.erase(at, reply.find("\r\n", at) + 2 - at);
+  }
+#endif
+  return reply;
 }
 
-void ExpectSameEngineState(CacheService& a, CacheService& b) {
-  ASSERT_EQ(a.shard_count(), b.shard_count());
-  for (std::size_t s = 0; s < a.shard_count(); ++s) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    EngineSnapshot::Of(a.shard_engine(s))
-        .ExpectEq(EngineSnapshot::Of(b.shard_engine(s)));
-  }
-  const ServiceCounters ca = a.TotalCounters();
-  const ServiceCounters cb = b.TotalCounters();
-  EXPECT_EQ(ca.cas_hits, cb.cas_hits);
-  EXPECT_EQ(ca.cas_misses, cb.cas_misses);
-  EXPECT_EQ(ca.cas_badval, cb.cas_badval);
-  EXPECT_EQ(ca.incr_hits, cb.incr_hits);
-  EXPECT_EQ(ca.incr_misses, cb.incr_misses);
-  EXPECT_EQ(ca.decr_hits, cb.decr_hits);
-  EXPECT_EQ(ca.decr_misses, cb.decr_misses);
-  EXPECT_EQ(ca.touch_hits, cb.touch_hits);
-  EXPECT_EQ(ca.touch_misses, cb.touch_misses);
-  EXPECT_EQ(a.ItemCount(), b.ItemCount());
-  EXPECT_EQ(a.ExpiryNodeCount(), b.ExpiryNodeCount());
+/// The connection's replies, close decision and service state after one
+/// fed chunk must be what the serial path recorded for it.
+void ExpectStep(const golden::Step& want, const std::string& reply,
+                BatchedHarness& harness, CacheService& service) {
+  EXPECT_EQ(want.reply, WithoutFailpointStats(reply));
+  EXPECT_EQ(want.closing, harness.conn().closing());
+  EXPECT_EQ(want.state, golden::StateDigest(service));
+}
+
+std::vector<golden::Step> LoadSteps(const std::string& name) {
+  std::vector<golden::Step> steps;
+  EXPECT_TRUE(golden::ReadCapture(name, &steps));
+  return steps;
 }
 
 // ---------------------------------------------------------------------------
 // Handcrafted full-surface pipeline: every verb family, noreply, multi-key
-// retrieval, barrier verbs mid-stream, a parse error, an oversized store
-// and a cas race — inline batched vs serial, byte for byte.
+// retrieval, barrier verbs mid-stream, a parse error and a cas race; then
+// an oversized store (swallowed, the connection survives) and a bad data
+// chunk (fatal) — byte for byte against the serial path's replies.
 TEST(ShardAffinityTest, BatchedInlineMatchesSerialByteForByte) {
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, 4);
-  auto batched_svc = MakeService(&clock_b, 4);
-  Connection serial(*serial_svc);
-  ShardExecutor executor(*batched_svc);  // unbound: inline synchronous
-  BatchedHarness batched(*batched_svc, &executor, nullptr, 8);
+  const std::vector<golden::Step> want = LoadSteps("full_surface");
+  ASSERT_EQ(want.size(), 3u);
+  util::FakeClock clock(1'000'000'000);
+  auto svc = MakeService(&clock, 4);
+  BatchedHarness batched(*svc, nullptr, 8);
 
-  std::string script;
-  script += "set alpha 1000 0 5\r\nhello\r\n";
-  script += "set bravo 2000 60 5\r\nworld\r\n";
-  script += "add alpha 0 0 2\r\nxx\r\n";       // NOT_STORED
-  script += "add charlie 0 0 3\r\nnew\r\n";    // STORED
-  script += "replace delta 0 0 2\r\nzz\r\n";   // NOT_STORED (absent)
-  script += "append alpha 0 0 1\r\n!\r\n";
-  script += "prepend alpha 0 0 1\r\n>\r\n";
-  script += "get alpha bravo charlie nope\r\n";
-  script += "gets alpha\r\n";
-  script += "cas alpha 0 0 3 999999\r\nbad\r\n";  // EXISTS (stale unique)
-  script += "cas nope 0 0 1 7\r\nz\r\n";          // NOT_FOUND
-  script += "set ctr 0 0 2\r\n40\r\n";
-  script += "incr ctr 2\r\n";
-  script += "decr ctr 100\r\n";  // floors at 0
-  script += "incr alpha 1\r\n";  // CLIENT_ERROR non-numeric
-  script += "incr nope 1\r\n";   // NOT_FOUND
-  script += "touch bravo 120\r\n";
-  script += "touch nope 120\r\n";
-  script += "gat 60 bravo\r\n";
-  script += "gats 60 bravo nope\r\n";
-  script += "version\r\n";                     // barrier mid-stream
-  script += "set echo 0 0 4 noreply\r\nquie\r\n";
-  script += "get echo\r\n";
-  script += "delete echo noreply\r\n";
-  script += "delete echo\r\n";  // NOT_FOUND now
-  script += "bogus_verb a b c\r\n";  // ERROR via the serial barrier
-  script += "get alpha\r\n";
-  script += "flush_all\r\n";   // barrier: everything below misses
-  script += "get alpha\r\n";
-  script += "stats\r\n";       // barrier with a multi-line reply
-  script += "get bravo\r\n";
-
-  const std::string expect = RunSerial(serial, script);
-  batched.Feed(script);
-  const std::string got = batched.TakeOutput();
-  EXPECT_EQ(expect, got);
-  EXPECT_GT(executor.Batches(), 0u);
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-  EXPECT_EQ(serial.closing(), batched.conn().closing());
-
-  // An oversized store (> 1 MiB) barriers out to the serial discard path
-  // on both sides; the connection survives with identical bytes.
-  std::string big = "set big 0 0 2097152\r\n";
-  big.append(2'097'152, 'x');
-  big += "\r\nget charlie\r\n";
-  const std::string expect2 = RunSerial(serial, big);
-  batched.Feed(big);
-  EXPECT_EQ(expect2, batched.TakeOutput());
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-
-  // A bad data chunk (payload not CRLF-terminated) is fatal on both paths.
-  const std::string bad = "set k 0 0 2\r\nxxxx\r\n";
-  const std::string expect3 = RunSerial(serial, bad);
-  batched.Feed(bad);
-  EXPECT_EQ(expect3, batched.TakeOutput());
-  EXPECT_TRUE(serial.closing());
+  const std::string scripts[] = {golden::FullSurfaceScript(),
+                                 golden::OversizedStoreScript(),
+                                 golden::BadChunkScript()};
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE("script " + std::to_string(i));
+    batched.Feed(scripts[i]);
+    ExpectStep(want[i], batched.TakeOutput(), batched, *svc);
+  }
+  EXPECT_GT(svc->Batches(), 0u);
   EXPECT_TRUE(batched.conn().closing());
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 1: a 400-deep mixed pipeline whose keys fan out across every
-// shard of a 3-loop executor. Execution is genuinely concurrent (remote
-// sub-batches run on other loop threads; chaos builds add randomized
-// per-op sleeps so sub-batch completion order is adversarial), yet the
-// response stream must equal the single-connection serial reference in
-// both content and order.
+// A 400-deep mixed pipeline whose keys fan out across all 8 shards, served
+// from a loop thread in batches of 32. Chaos builds add randomized per-op
+// sleeps so group latencies are skewed, yet the response stream must equal
+// the serial reference in both content and order.
 TEST(ShardAffinityTest, CrossShardPipelineKeepsRequestOrder) {
-  constexpr std::size_t kShards = 8;
-  constexpr int kDepth = 400;
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, kShards);
-  auto batched_svc = MakeService(&clock_b, kShards);
-
-  LoopPool loops(3);
-  ShardExecutor executor(*batched_svc);
-  executor.Bind(loops.ptrs());
+  const std::vector<golden::Step> want = LoadSteps("cross_shard");
+  ASSERT_EQ(want.size(), 1u);
+  util::FakeClock clock(1'000'000'000);
+  auto svc = MakeService(&clock, 8);
+  LoopThread home;
 
 #if PAMAKV_FAILPOINTS
-  // Skew the per-shard batch latencies: ~5% of batched ops stall 1ms, so
-  // fast shards finish long before slow ones and any re-sequencing bug
-  // would surface as out-of-order responses. The injection point lives in
-  // the batched executor only; the serial reference is unaffected.
+  // ~5% of batched ops stall 1ms; the injection point lives in the
+  // batch executor.
   ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "sleep:1@p:0.05:42"));
 #endif
 
-  // Every response embeds the request index, so a swap anywhere in the
-  // 400-deep window changes the bytes.
-  std::string script;
-  Rng rng(2024);
-  for (int i = 0; i < kDepth; ++i) {
-    const std::string key = "k" + std::to_string(rng.NextBounded(96));
-    const double dice = rng.NextDouble();
-    if (dice < 0.4) {
-      const std::string value = "v" + std::to_string(i);
-      script += "set " + key + " 1000 0 " + std::to_string(value.size()) +
-                "\r\n" + value + "\r\n";
-    } else if (dice < 0.75) {
-      script += (dice < 0.6 ? "get " : "gets ") + key + "\r\n";
-    } else if (dice < 0.85) {
-      script += "delete " + key + "\r\n";
-    } else if (dice < 0.95) {
-      const std::string ctr = "c" + std::to_string(rng.NextBounded(16));
-      script += "set " + ctr + " 0 0 2 noreply\r\n10\r\n";
-      script += "incr " + ctr + " " + std::to_string(i) + "\r\n";
-    } else {
-      script += "touch " + key + " 60\r\n";
-    }
-  }
-
-  Connection serial(*serial_svc);
-  const std::string expect = RunSerial(serial, script);
-
-  BatchedHarness batched(*batched_svc, &executor, &loops.at(0), 32);
-  batched.Feed(script);
+  BatchedHarness batched(*svc, &home.loop(), 32);
+  batched.Feed(golden::CrossShardScript());
   const std::string got = batched.TakeOutput();
 
 #if PAMAKV_FAILPOINTS
   util::FailPoints::DisableAll();
 #endif
 
-  ASSERT_EQ(expect.size(), got.size());
-  EXPECT_EQ(expect, got) << "cross-shard responses re-ordered or corrupted";
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-  // The fan-out genuinely crossed loops: remote sub-batches were posted.
-  EXPECT_GT(executor.OwnerPosts() + executor.InlineReadBatches(), 0u);
+  ASSERT_EQ(want[0].reply.size(), got.size());
+  ExpectStep(want[0], got, batched, *svc);
+  // The pipeline really ran as many multi-shard batches.
+  EXPECT_GE(svc->Batches(), 400u / 32);
 }
 
 // ---------------------------------------------------------------------------
-// Striped read path: an all-read sub-batch targeting a shard owned by
-// another loop executes on the requesting thread via try_lock, skipping
-// the owner-thread hop — and the bytes still match the serial reference.
-TEST(ShardAffinityTest, StripedReadsServeRemoteShardsInline) {
-  constexpr std::size_t kShards = 4;
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, kShards);
-  auto batched_svc = MakeService(&clock_b, kShards);
-
-  LoopPool loops(2);
-  ShardExecutor executor(*batched_svc);
-  executor.Bind(loops.ptrs());
-  BatchedHarness batched(*batched_svc, &executor, &loops.at(0), 64);
-  Connection serial(*serial_svc);
-
-  std::string fill;
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "s" + std::to_string(i);
-    fill += "set " + key + " 1000 0 4\r\nv" +
-            std::to_string(i % 10) + std::to_string((i / 10) % 10) +
-            std::to_string(i % 7) + "\r\n";
-  }
-  const std::string fill_expect = RunSerial(serial, fill);
-  batched.Feed(fill);
-  ASSERT_EQ(fill_expect, batched.TakeOutput());
-
-  std::string reads;
-  for (int i = 0; i < 64; ++i) {
-    reads += (i % 2 == 0 ? "get s" : "gets s") + std::to_string(i) + "\r\n";
-  }
-  const std::string reads_expect = RunSerial(serial, reads);
-  batched.Feed(reads);
-  EXPECT_EQ(reads_expect, batched.TakeOutput());
-  // No contention in this test, so every remote all-read sub-batch must
-  // have taken the striped path.
-  EXPECT_GT(executor.InlineReadBatches(), 0u);
-  ExpectSameEngineState(*serial_svc, *batched_svc);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 2: seeded random equivalence property. One op stream (all verb
-// families, TTLs that really expire, cas races, noreply, barriers, parse
-// errors) through three executions — serial, inline-batched, multi-loop
-// batched — must produce identical wire bytes per chunk and identical
-// final shard states. Seeds are printed and replayable:
+// Seeded random equivalence property. One op stream (all verb families,
+// TTLs that really expire, cas races, noreply, barriers, parse errors)
+// runs inline and from a loop thread; both must produce the serial path's
+// wire bytes per chunk and its state after every chunk. Seeds are printed
+// and replayable:
 //   PAMAKV_AFFINITY_SEED=<n> ctest -R SeededRandomOps
-struct OpStream {
-  std::vector<std::string> chunks;
-};
-
-OpStream GenerateStream(std::uint64_t seed, int chunks, int ops_per_chunk) {
-  OpStream stream;
-  Rng rng(seed);
-  for (int c = 0; c < chunks; ++c) {
-    std::string s;
-    for (int i = 0; i < ops_per_chunk; ++i) {
-      const std::string key = "k" + std::to_string(rng.NextBounded(48));
-      const bool noreply = rng.NextDouble() < 0.10;
-      const std::int64_t ttl =
-          static_cast<std::int64_t>(rng.NextBounded(6)) - 2;  // -2..3 s
-      const double dice = rng.NextDouble();
-      if (dice < 0.22) {  // set: numeric (incr-compatible) or text value
-        std::string value;
-        if (rng.NextDouble() < 0.5) {
-          value = std::to_string(rng.NextBounded(1'000'000'000));
-        } else {
-          value.assign(8 + rng.NextBounded(120),
-                       static_cast<char>('a' + rng.NextBounded(26)));
-        }
-        s += "set " + key + " " + std::to_string(rng.NextBounded(5'000)) +
-             " " + std::to_string(ttl > 0 ? ttl : 0) + " " +
-             std::to_string(value.size()) + (noreply ? " noreply" : "") +
-             "\r\n" + value + "\r\n";
-      } else if (dice < 0.30) {  // add/replace/append/prepend
-        static constexpr const char* kVerbs[] = {"add", "replace", "append",
-                                                 "prepend"};
-        const char* verb = kVerbs[rng.NextBounded(4)];
-        std::string value(1 + rng.NextBounded(24),
-                          static_cast<char>('A' + rng.NextBounded(26)));
-        s += std::string(verb) + " " + key + " 0 " +
-             std::to_string(ttl > 0 ? ttl : 0) + " " +
-             std::to_string(value.size()) + (noreply ? " noreply" : "") +
-             "\r\n" + value + "\r\n";
-      } else if (dice < 0.36) {  // cas race: small uniques hit all branches
-        s += "cas " + key + " 0 0 3 " +
-             std::to_string(1 + rng.NextBounded(64)) +
-             (noreply ? " noreply" : "") + "\r\nRCE\r\n";
-      } else if (dice < 0.60) {  // retrieval, sometimes multi-key
-        const char* verb = rng.NextDouble() < 0.7 ? "get" : "gets";
-        s += std::string(verb) + " " + key;
-        const std::uint64_t extra = rng.NextBounded(3);
-        for (std::uint64_t e = 0; e < extra; ++e) {
-          s += " k" + std::to_string(rng.NextBounded(48));
-        }
-        s += "\r\n";
-      } else if (dice < 0.70) {  // incr/decr
-        s += (rng.NextDouble() < 0.5 ? "incr " : "decr ") + key + " " +
-             std::to_string(rng.NextBounded(1'000)) +
-             (noreply ? " noreply" : "") + "\r\n";
-      } else if (dice < 0.78) {  // touch
-        s += "touch " + key + " " + std::to_string(ttl) +
-             (noreply ? " noreply" : "") + "\r\n";
-      } else if (dice < 0.86) {  // gat/gats
-        s += (rng.NextDouble() < 0.5 ? "gat " : "gats ") +
-             std::to_string(ttl > 0 ? ttl : 1) + " " + key + "\r\n";
-      } else if (dice < 0.93) {  // delete
-        s += "delete " + key + (noreply ? " noreply" : "") + "\r\n";
-      } else if (dice < 0.96) {  // barrier verb mid-pipeline
-        s += rng.NextDouble() < 0.7 ? "version\r\n" : "flush_all 2\r\n";
-      } else if (dice < 0.98) {  // parse error mid-pipeline
-        s += "definitely_not_a_verb " + key + "\r\n";
-      } else {  // second parse-error shape: bad argument count
-        s += "get\r\n";
-      }
-    }
-    stream.chunks.push_back(std::move(s));
-  }
-  return stream;
-}
-
 TEST(ShardAffinityTest, SeededRandomOpsAreEquivalentOnAllPaths) {
-  constexpr std::size_t kShards = 5;  // odd on purpose: loops don't divide it
+  constexpr std::size_t kShards = 5;  // odd on purpose
   std::vector<std::uint64_t> seeds = {11, 42, 1337};
   if (const char* env = std::getenv("PAMAKV_AFFINITY_SEED")) {
     seeds = {std::strtoull(env, nullptr, 10)};
@@ -449,83 +229,72 @@ TEST(ShardAffinityTest, SeededRandomOpsAreEquivalentOnAllPaths) {
                  "PAMAKV_AFFINITY_SEED=%llu)\n",
                  static_cast<unsigned long long>(seed),
                  static_cast<unsigned long long>(seed));
-    const OpStream stream = GenerateStream(seed, /*chunks=*/6,
-                                           /*ops_per_chunk=*/400);
-
-    util::FakeClock serial_clock(1'000'000'000);
-    util::FakeClock inline_clock(1'000'000'000);
-    util::FakeClock multi_clock(1'000'000'000);
-    auto serial_svc = MakeService(&serial_clock, kShards);
-    auto inline_svc = MakeService(&inline_clock, kShards);
-    auto multi_svc = MakeService(&multi_clock, kShards);
-
-    Connection serial(*serial_svc);
-    ShardExecutor inline_exec(*inline_svc);  // unbound: synchronous
-    BatchedHarness inline_conn(*inline_svc, &inline_exec, nullptr, 16);
-    LoopPool loops(3);
-    ShardExecutor multi_exec(*multi_svc);
-    multi_exec.Bind(loops.ptrs());
-    BatchedHarness multi_conn(*multi_svc, &multi_exec, &loops.at(0), 16);
-
-    for (std::size_t c = 0; c < stream.chunks.size(); ++c) {
-      SCOPED_TRACE("chunk " + std::to_string(c));
-      const std::string& chunk = stream.chunks[c];
-      const std::string expect = RunSerial(serial, chunk);
-      inline_conn.Feed(chunk);
-      EXPECT_EQ(expect, inline_conn.TakeOutput());
-      multi_conn.Feed(chunk);
-      EXPECT_EQ(expect, multi_conn.TakeOutput());
-      // Advance all three clocks identically while every path is
-      // quiescent: TTLs of 1–3s (and the flush_all 2 epochs) really
-      // expire between chunks, on exactly the same boundary everywhere.
-      serial_clock.Advance(1500ms);
-      inline_clock.Advance(1500ms);
-      multi_clock.Advance(1500ms);
+    const std::vector<std::string> stream =
+        golden::RandomStream(seed, /*chunks=*/6, /*ops_per_chunk=*/400);
+    std::vector<golden::Step> want;
+    const bool in_corpus = seed == 11 || seed == 42 || seed == 1337;
+    if (in_corpus) {
+      want = LoadSteps("random_seed_" + std::to_string(seed));
+      ASSERT_EQ(want.size(), stream.size());
     }
 
-    ExpectSameEngineState(*serial_svc, *inline_svc);
-    ExpectSameEngineState(*serial_svc, *multi_svc);
-    EXPECT_GT(multi_exec.OwnerPosts(), 0u);
+    util::FakeClock inline_clock(1'000'000'000);
+    util::FakeClock loop_clock(1'000'000'000);
+    auto inline_svc = MakeService(&inline_clock, kShards);
+    auto loop_svc = MakeService(&loop_clock, kShards);
+    BatchedHarness inline_conn(*inline_svc, nullptr, 16);
+    LoopThread home;
+    BatchedHarness loop_conn(*loop_svc, &home.loop(), 16);
+
+    for (std::size_t c = 0; c < stream.size(); ++c) {
+      SCOPED_TRACE("chunk " + std::to_string(c));
+      inline_conn.Feed(stream[c]);
+      const std::string inline_reply = inline_conn.TakeOutput();
+      loop_conn.Feed(stream[c]);
+      const std::string loop_reply = loop_conn.TakeOutput();
+      if (in_corpus) {
+        ExpectStep(want[c], inline_reply, inline_conn, *inline_svc);
+        ExpectStep(want[c], loop_reply, loop_conn, *loop_svc);
+      } else {
+        EXPECT_EQ(inline_reply, loop_reply);
+        EXPECT_EQ(golden::StateDigest(*inline_svc),
+                  golden::StateDigest(*loop_svc));
+      }
+      // Advance both clocks identically while quiescent: TTLs of 1–3s
+      // (and the flush_all 2 epochs) really expire between chunks, on
+      // exactly the same boundary everywhere.
+      inline_clock.Advance(1500ms);
+      loop_clock.Advance(1500ms);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
 // Partial writes: a pipelined stream fed one byte at a time must stage,
-// dispatch and sequence exactly as when fed whole — the staging scanner
-// may not consume half commands or dispatch early in a way that changes
-// bytes.
+// dispatch and sequence exactly as the serial path answered it whole —
+// the staging scanner may not consume half commands or dispatch early in
+// a way that changes bytes.
 TEST(ShardAffinityTest, BytewiseFeedMatchesWholeFeed) {
-  util::FakeClock clock_a(1'000'000'000), clock_b(1'000'000'000);
-  auto serial_svc = MakeService(&clock_a, 4);
-  auto batched_svc = MakeService(&clock_b, 4);
-  Connection serial(*serial_svc);
-  ShardExecutor executor(*batched_svc);
-  BatchedHarness batched(*batched_svc, &executor, nullptr, 8);
+  const std::vector<golden::Step> want = LoadSteps("bytewise");
+  ASSERT_EQ(want.size(), 1u);
+  util::FakeClock clock(1'000'000'000);
+  auto svc = MakeService(&clock, 4);
+  BatchedHarness batched(*svc, nullptr, 8);
 
-  std::string script;
-  script += "set split 123 0 10\r\n0123456789\r\n";
-  script += "get split\r\n";
-  script += "gets split missing\r\n";
-  script += "incr nope 4\r\n";
-  script += "version\r\n";
-  script += "delete split\r\n";
-
-  const std::string expect = RunSerial(serial, script);
-  for (const char byte : script) batched.Feed(std::string_view(&byte, 1));
-  EXPECT_EQ(expect, batched.TakeOutput());
-  ExpectSameEngineState(*serial_svc, *batched_svc);
+  for (const char byte : golden::BytewiseScript()) {
+    batched.Feed(std::string_view(&byte, 1));
+  }
+  ExpectStep(want[0], batched.TakeOutput(), batched, *svc);
 }
 
 #if PAMAKV_FAILPOINTS
 // ---------------------------------------------------------------------------
-// bad_alloc inside a batched storage op must degrade exactly like the
-// serial path: SERVER_ERROR in-band, connection survives, every other op
-// in the batch unaffected.
+// bad_alloc inside a batched storage op degrades in-band: SERVER_ERROR,
+// the connection survives, every other op in the batch unaffected.
 TEST(ShardAffinityTest, OomInsideBatchDegradesLikeSerial) {
   util::FakeClock clock(1'000'000'000);
   auto svc = MakeService(&clock, 4);
-  ShardExecutor executor(*svc);
-  BatchedHarness batched(*svc, &executor, nullptr, 8);
+  BatchedHarness batched(*svc, nullptr, 8);
 
   std::string warm = "set a 0 0 1\r\nx\r\n";
   batched.Feed(warm);
@@ -547,8 +316,7 @@ TEST(ShardAffinityTest, OomInsideBatchDegradesLikeSerial) {
   EXPECT_FALSE(batched.conn().closing());
 
   // A non-storage op hitting OOM (svc.batch point) fails the batch and
-  // closes the connection — same outcome as serial, where bad_alloc from
-  // a get propagates out of Ingest and the server drops the connection.
+  // closes the connection: it cannot answer coherently mid-stream.
   ASSERT_TRUE(util::FailPoints::Arm("svc.batch", "oom@once"));
   std::string fatal = "get a\r\n";
   batched.Feed(fatal);

@@ -218,10 +218,8 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
     server_cfg.accept_retry_ms = 5;  // real clock: pauses self-heal fast
     server_cfg.reap_interval_ms = 20;  // background expiry under fire
     server_cfg.reap_batch = 128;
-    // The storm runs on the shard-affine path: every connection stages
-    // into per-shard batches and, with two loop threads over two shards,
-    // sub-batches genuinely cross owner loops (striped reads stay on by
-    // default, so the optimistic read path is under fire too).
+    // Every connection stages into per-shard batches; with two loop
+    // threads over two shards, both loops contend for both shard locks.
     server_cfg.batch_depth = 32;
     Server server(server_cfg, service);
     util::MetricsRegistry registry;
@@ -250,7 +248,7 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
         "engine.item_alloc", ProbSpec("oom", 0.02, rng)));
     ASSERT_TRUE(util::FailPoints::Arm(
         "svc.reap", ProbSpec("oom", 0.05, rng)));
-    // Mid-batch OOM on the shard owner thread: a storage op degrades to
+    // Mid-batch OOM inside a shard group: a storage op degrades to
     // the in-band SERVER_ERROR (oom_rejections), any other verb fails the
     // batch and drops the connection (reconnects absorb it) — keep the
     // rate low so the storm stays mostly connected.
@@ -287,7 +285,7 @@ TEST_P(ChaosTest, SurvivesSeededFaultStorm) {
     // actually fired in the response path.
     EXPECT_GT(ops, static_cast<std::uint64_t>(kWorkers * kOpsPerWorker) / 2);
     EXPECT_GT(util::FailPoints::Trips("net.writev"), 0u);
-    // The owner-thread OOM seam fired mid-batch this seed and the server
+    // The mid-batch OOM seam fired this seed and the server
     // rode it out.
     EXPECT_GT(util::FailPoints::Trips("svc.batch"), batch_trips_before);
 
@@ -410,12 +408,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest,
 
 // ---- flash-tier storm ----
 //
-// A second storm with the flash victim tier attached (which disables the
-// batch executor, so it cannot share the storm above without losing the
-// batching invariants). DRAM is sized well below the working set, so the
-// workers' stores continuously evict and demote under armed
-// flash.open/flash.append/flash.read faults; gets on demoted keys run the
-// deferred-read promote path through real connections. After the storm
+// A second storm with the flash victim tier attached; its deferred reads
+// run inside the same batches as everything else. DRAM is sized well
+// below the working set, so the workers' stores continuously evict and
+// demote under armed flash.open/flash.append/flash.read faults; gets on
+// demoted keys run the deferred-read promote path through real
+// connections. After the storm
 // calms, the tier must reconcile exactly: per-shard byte/segment
 // accounting equals what is actually on disk (every EIO'd or torn append
 // accounted), and per-band demote counters sum to the demote total.

@@ -429,6 +429,35 @@ TEST(ServerLifecycleTest, FlagTypoExitsNonzeroWithOneLine) {
   EXPECT_NE(err.find("unknown flag --persist-fsnc"), std::string::npos) << err;
 }
 
+// --batch-depth=0 once selected a separate serial per-command path; every
+// command now runs as a batch, so a depth below one is a usage error, and
+// the --striped-reads knob of the removed cross-loop hop is gone.
+TEST(ServerLifecycleTest, BatchDepthZeroIsAUsageError) {
+  TempDir dir;
+  ServerProc server;
+  server.Spawn(dir.path(), {"--batch-depth=0"}, "");
+  EXPECT_FALSE(server.WaitForPort());
+  const int status = server.Wait();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string err = server.Stderr();
+  EXPECT_NE(err.find("--batch-depth must be at least 1"), std::string::npos)
+      << err;
+}
+
+TEST(ServerLifecycleTest, StripedReadsFlagIsUnknown) {
+  TempDir dir;
+  ServerProc server;
+  server.Spawn(dir.path(), {"--striped-reads=1"}, "");
+  EXPECT_FALSE(server.WaitForPort());
+  const int status = server.Wait();
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string err = server.Stderr();
+  EXPECT_NE(err.find("unknown flag --striped-reads"), std::string::npos)
+      << err;
+}
+
 TEST(ServerLifecycleTest, LoadgenFlagTypoIsACleanError) {
   if (std::string(PAMAKV_LOADGEN_BINARY).empty() ||
       !fs::exists(PAMAKV_LOADGEN_BINARY)) {
