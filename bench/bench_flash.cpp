@@ -136,25 +136,33 @@ RunRow Replay(const BenchParams& p, Bytes capacity, double fraction,
   row.requests = p.requests;
 
   Rng rng(p.seed);
-  // Each get is a batch of one, as a connection runs it; with no IO
-  // thread a flash read completes inside ExecuteBatch.
+  // Each get and each fill is a batch of one, as a connection runs it;
+  // with no IO thread a flash read completes inside ExecuteBatch.
   net::Batch batch;
-  for (std::uint64_t i = 0; i < p.requests; ++i) {
-    Request req = MakeRequest(p.keys, rng);
-    batch.Reset();
-    net::BatchOp& op = batch.Push();
-    op.verb = net::Verb::kGet;
-    op.key = req.key;
+  const auto run = [&service, &batch] {
     if (!service.ExecuteBatch(batch)) {
       throw std::runtime_error("a flash read did not complete inline");
     }
-    const bool hit = !op.out.empty();  // a VALUE block; misses write nothing
-    if (hit) {
+  };
+  for (std::uint64_t i = 0; i < p.requests; ++i) {
+    Request req = MakeRequest(p.keys, rng);
+    batch.Reset();
+    net::BatchOp& get = batch.Push();
+    get.verb = net::Verb::kGet;
+    get.key = req.key;
+    run();
+    if (!get.out.empty()) {  // a VALUE block; misses write nothing
       ++row.hits;
     } else {
       ++row.misses;
       row.miss_penalty_total_us += req.penalty_us;
-      service.Set(req.key, req.penalty_us, req.value);
+      batch.Reset();
+      net::BatchOp& set = batch.Push();
+      set.verb = net::Verb::kSet;
+      set.key = req.key;
+      set.flags = req.penalty_us;
+      set.value = req.value;
+      run();
     }
   }
 

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "pamakv/net/batch.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/persist/persister.hpp"
 #include "pamakv/util/rng.hpp"
@@ -115,17 +116,28 @@ std::vector<WindowRow> Replay(const std::string& mode,
                               const BenchParams& p, Rng& rng,
                               std::vector<WindowRow>& all_rows) {
   std::vector<WindowRow> rows;
-  std::vector<char> out;
+  // Each get and each fill is a batch of one, as a connection runs it.
+  net::Batch batch;
   std::uint64_t hits = 0, cum_hits = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t i = 1; i <= p.requests; ++i) {
     Request req = MakeRequest(p.keys, rng);
-    out.clear();
-    if (service.Get(req.key, out, /*with_cas=*/false)) {
+    batch.Reset();
+    net::BatchOp& get = batch.Push();
+    get.verb = net::Verb::kGet;
+    get.key = req.key;
+    service.ExecuteBatch(batch);
+    if (!get.out.empty()) {  // a VALUE block; misses write nothing
       ++hits;
       ++cum_hits;
     } else {
-      service.Set(req.key, req.penalty_us, req.value);
+      batch.Reset();
+      net::BatchOp& set = batch.Push();
+      set.verb = net::Verb::kSet;
+      set.key = req.key;
+      set.flags = req.penalty_us;
+      set.value = req.value;
+      service.ExecuteBatch(batch);
     }
     if (i % p.window == 0) {
       WindowRow row;

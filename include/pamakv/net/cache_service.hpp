@@ -1,5 +1,12 @@
 // CacheService: the server-side bridge from wire requests to CacheEngines.
 //
+// Keyed requests enter through one door, ExecuteBatch: a staged Batch of
+// ops (a single command is a batch of one). Connections, tests and
+// in-process benches all call it, so a flash-resident key is answered the
+// same way everywhere: a miss, then a promote, then a hit. Only barrier
+// commands (flush_all, stats, bgsave) and background work (the reaper,
+// persistence capture and restore) have entry points of their own.
+//
 // Topology mirrors ShardedCache — N independent single-threaded engines,
 // keys routed by ShardedCache::ShardIndexFor over the string key's 64-bit
 // hash — but adds what a real server needs on top of the simulator's
@@ -71,17 +78,6 @@ struct CacheServiceConfig {
   std::int64_t expiry_tick_ns = 1'000'000'000;
 };
 
-/// Storage-family verbs, in CacheService terms (protocol Verb maps onto
-/// this; the service has no dependency on the wire layer's enum).
-enum class StoreVerb : std::uint8_t {
-  kSet,      ///< unconditional
-  kAdd,      ///< only if absent
-  kReplace,  ///< only if present
-  kAppend,   ///< concatenate after; keeps stored flags + exptime
-  kPrepend,  ///< concatenate before; keeps stored flags + exptime
-  kCas,      ///< only if the CAS unique matches
-};
-
 enum class StoreStatus : std::uint8_t {
   kStored,
   kNotStored,  ///< verb precondition failed, or the engine refused space
@@ -106,8 +102,6 @@ struct ArithmeticResult {
 /// incr/decr reply: "<value>\r\n", "NOT_FOUND\r\n", or the non-numeric
 /// CLIENT_ERROR line.
 void AppendArithmeticReply(std::vector<char>& out, ArithmeticResult result);
-/// Protocol verb → service storage verb (storage family only).
-[[nodiscard]] StoreVerb ToStoreVerb(Verb v) noexcept;
 
 inline constexpr std::string_view kTouchedReply = "TOUCHED\r\n";
 inline constexpr std::string_view kNotFoundReply = "NOT_FOUND\r\n";
@@ -134,23 +128,9 @@ struct ServiceCounters {
   std::uint64_t flash_read_failures = 0;  ///< async read io/CRC failures
   std::uint64_t flash_penalty_saved_us = 0;  ///< Σ penalty of flash serves
 
-  ServiceCounters& operator+=(const ServiceCounters& o) noexcept {
-    cas_hits += o.cas_hits;
-    cas_misses += o.cas_misses;
-    cas_badval += o.cas_badval;
-    incr_hits += o.incr_hits;
-    incr_misses += o.incr_misses;
-    decr_hits += o.decr_hits;
-    decr_misses += o.decr_misses;
-    touch_hits += o.touch_hits;
-    touch_misses += o.touch_misses;
-    flash_hits += o.flash_hits;
-    flash_promotes += o.flash_promotes;
-    flash_direct_serves += o.flash_direct_serves;
-    flash_read_failures += o.flash_read_failures;
-    flash_penalty_saved_us += o.flash_penalty_saved_us;
-    return *this;
-  }
+  /// Field-by-field sum, over the same name table the `stats` lines and
+  /// the metric gauges iterate.
+  ServiceCounters& operator+=(const ServiceCounters& o) noexcept;
 };
 
 class CacheService {
@@ -159,43 +139,6 @@ class CacheService {
 
   /// Builds `shards` engines, each given capacity/shards via the factory.
   CacheService(const CacheServiceConfig& config, const EngineFactory& factory);
-
-  /// GET/GETS one key: on a verified hit appends a "VALUE ..." block to
-  /// `out` (under the shard lock, so value and stats stay consistent) and
-  /// returns true; on a miss appends nothing, charges the engine the
-  /// key's penalty, and returns false. An item whose deadline (or flush
-  /// epoch) has passed is expired on the spot and handled as a miss —
-  /// routed to the ghost list of the class/subclass it occupied, so the
-  /// key's demand stays visible to the allocation policy.
-  /// A flash-resident key is answered as a miss here; only a batch
-  /// (ExecuteBatch) waits for the tier.
-  bool Get(std::string_view key, std::vector<char>& out, bool with_cas);
-
-  /// The six storage verbs. `flags` is the miss penalty in µs (0 => the
-  /// configured default); `exptime_s` uses memcached semantics (0 never,
-  /// negative already-expired, <= 30 days relative, else absolute unix);
-  /// `cas_unique` is consulted only by kCas. Every successful store bumps
-  /// the entry's CAS stamp. Append/prepend keep the stored flags and
-  /// deadline, ignoring the arguments, as memcached does.
-  StoreStatus Store(StoreVerb verb, std::string_view key, std::uint32_t flags,
-                    std::int64_t exptime_s, std::string_view value,
-                    std::uint64_t cas_unique = 0);
-
-  /// SET, kept as the short form of Store(kSet, ...) with no TTL.
-  bool Set(std::string_view key, std::uint32_t flags, std::string_view value);
-
-  /// incr/decr: the stored value must be a plain decimal uint64 (at most
-  /// 20 digits, no sign, no padding). incr saturates at 2^64-1; decr
-  /// floors at 0. The result is re-stored as plain decimal (the value may
-  /// shrink, unlike memcached's blank-padding) and bumps CAS.
-  ArithmeticResult IncrDecr(std::string_view key, std::uint64_t delta,
-                            bool increment);
-
-  /// touch: moves the deadline; promotes the item. False when not cached.
-  bool Touch(std::string_view key, std::int64_t exptime_s);
-
-  /// DELETE. True if the key was cached.
-  bool Del(std::string_view key);
 
   /// flush_all [delay]: marks every item stored before now (+ delay
   /// seconds) invalid once that moment arrives. Purely an epoch flip —
@@ -289,7 +232,8 @@ class CacheService {
   /// whose key is flash-resident, leaving its read armed in op.flash (only
   /// with a tier attached). Returns the number of ops consumed: `n`, or
   /// the position of that op. Ops skipped after a batch failure count as
-  /// consumed.
+  /// consumed. Public for socketless replays that group ops themselves;
+  /// everything else goes through ExecuteBatch.
   std::size_t ExecuteOps(std::size_t index, Batch& batch,
                          const std::uint32_t* idx, std::size_t n);
 
@@ -460,9 +404,6 @@ class CacheService {
     std::vector<std::pair<KeyId, std::uint64_t>> unseated;
   };
 
-  [[nodiscard]] Shard& ShardFor(KeyId id) {
-    return *shards_[ShardedCache::ShardIndexFor(id, shards_.size())];
-  }
   [[nodiscard]] MicroSecs PenaltyOf(std::uint32_t flags) const noexcept {
     return flags != 0 ? static_cast<MicroSecs>(flags) : default_penalty_us_;
   }
@@ -499,25 +440,49 @@ class CacheService {
                                             std::string_view value,
                                             const SlotHeader& header,
                                             std::int64_t expire_at_ns) const;
-  // Lock-held verb bodies: the public wrappers hash the key, take the
-  // shard lock and read the clock per op; a batch calls these with one
-  // lock acquisition and one clock read per shard group. A non-null
-  // `flash` lets a flash-resident key defer (the read is armed there)
-  // instead of answering from slot metadata or as a miss.
+  // Lock-held verb bodies, run by ExecuteOpLocked under the shard group's
+  // one lock acquisition and one clock read. A non-null `flash` lets a
+  // flash-resident key defer (the read is armed there); it is null with
+  // no tier attached and on a completion's re-run, which answers from
+  // slot metadata or as a miss.
+  //
+  // get/gets/gat/gats: a verified hit appends a "VALUE ..." block to
+  // `out`; a miss appends nothing and charges the engine the key's
+  // penalty. An item past its deadline (or flush epoch) is expired on the
+  // spot and handled as a miss, routed to the ghost list of the
+  // class/subclass it occupied.
   bool GetLocked(Shard& shard, KeyId id, std::string_view key,
                  std::vector<char>& out, bool with_cas, bool touch,
-                 std::int64_t exptime_s, std::int64_t now,
-                 FlashRead* flash = nullptr);
-  StoreStatus StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
+                 std::int64_t exptime_s, std::int64_t now, FlashRead* flash);
+  // The six storage verbs. `flags` is the miss penalty in µs (0 => the
+  // configured default); `exptime_s` uses memcached semantics (0 never,
+  // negative already-expired, <= 30 days relative, else absolute unix);
+  // `cas_unique` is consulted only by cas. Every successful store bumps
+  // the CAS stamp. Append/prepend keep the stored flags and deadline.
+  StoreStatus StoreLocked(Shard& shard, KeyId id, Verb verb,
                           std::string_view key, std::uint32_t flags,
                           std::int64_t exptime_s, std::string_view value,
                           std::uint64_t cas_unique, std::int64_t now,
-                          FlashRead* flash = nullptr);
+                          FlashRead* flash);
+  // incr/decr: the stored value must be a plain decimal uint64 (at most
+  // 20 digits, no sign, no padding). incr saturates at 2^64-1; decr
+  // floors at 0. The result is re-stored as plain decimal and bumps CAS.
   ArithmeticResult IncrDecrLocked(Shard& shard, KeyId id, std::string_view key,
                                   std::uint64_t delta, bool increment,
-                                  std::int64_t now, FlashRead* flash = nullptr);
+                                  std::int64_t now, FlashRead* flash);
   bool TouchLocked(Shard& shard, KeyId id, std::string_view key,
                    std::int64_t exptime_s, std::int64_t now);
+  /// touch/gat of the DRAM item at `bytes` (whose header is `header`):
+  /// moves its deadline, refreshes its store time (which also rescues it
+  /// from a pending flush epoch, as in memcached), promotes it and logs
+  /// the touch.
+  void TouchItem(Shard& shard, KeyId id, std::string_view key, char* bytes,
+                 SlotHeader header, std::int64_t exptime_s, std::int64_t now);
+  /// touch/gat of a flash-resident key, in slot metadata alone: the
+  /// on-disk record keeps its old TTL until GC rewrites it, so a crash
+  /// loses the refresh.
+  void TouchSlot(Shard& shard, flash::Slot& slot, std::string_view key,
+                 std::int64_t exptime_s, std::int64_t now);
   bool DelLocked(Shard& shard, KeyId id, std::string_view key,
                  std::int64_t now);
   /// One staged op; wire reply goes into op.out. bad_alloc from a storage

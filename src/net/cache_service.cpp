@@ -27,9 +27,10 @@ constexpr std::int64_t kRelativeLimitS = 60LL * 60 * 24 * 30;
 /// Deadlines are capped ~95 years out so second→ns math cannot overflow.
 constexpr std::int64_t kMaxAheadS = 3'000'000'000;
 
-/// Name ↔ member table for ServiceCounters: `stats` lines and metric
-/// gauges iterate this, so a counter added to the struct and here shows
-/// up on every export surface at once (memcached stat spellings).
+/// Name ↔ member table for ServiceCounters: `stats` lines, metric gauges
+/// and the per-shard sum iterate this, so a counter added to the struct
+/// and here shows up on every export surface at once (memcached stat
+/// spellings).
 struct CounterField {
   const char* name;
   std::uint64_t ServiceCounters::*member;
@@ -114,6 +115,14 @@ void WriteItem(char* bytes, const SlotHeader& h, std::string_view key,
 
 }  // namespace
 
+ServiceCounters& ServiceCounters::operator+=(
+    const ServiceCounters& o) noexcept {
+  for (const CounterField& field : kCounterFields) {
+    this->*field.member += o.*field.member;
+  }
+  return *this;
+}
+
 std::string_view StoreReplyText(StoreStatus status) noexcept {
   switch (status) {
     case StoreStatus::kStored: return "STORED\r\n";
@@ -138,17 +147,6 @@ void AppendArithmeticReply(std::vector<char>& out, ArithmeticResult result) {
                     "CLIENT_ERROR cannot increment or decrement non-numeric "
                     "value\r\n");
       break;
-  }
-}
-
-StoreVerb ToStoreVerb(Verb v) noexcept {
-  switch (v) {
-    case Verb::kAdd: return StoreVerb::kAdd;
-    case Verb::kReplace: return StoreVerb::kReplace;
-    case Verb::kAppend: return StoreVerb::kAppend;
-    case Verb::kPrepend: return StoreVerb::kPrepend;
-    case Verb::kCas: return StoreVerb::kCas;
-    default: return StoreVerb::kSet;
   }
 }
 
@@ -313,14 +311,6 @@ persist::WalStore CacheService::WalRecord(std::string_view key,
   return rec;
 }
 
-bool CacheService::Get(std::string_view key, std::vector<char>& out,
-                       bool with_cas) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return GetLocked(shard, id, key, out, with_cas, /*touch=*/false, 0, NowNs());
-}
-
 bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
                              std::vector<char>& out, bool with_cas, bool touch,
                              std::int64_t exptime_s, std::int64_t now,
@@ -338,19 +328,8 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
   if (h != kInvalidHandle) {
     const Item& item = engine.ItemAt(h);
     if (touch) {
-      const std::int64_t deadline = DeadlineFor(exptime_s, now);
-      // Touching also rescues the item from a pending flush epoch, like
-      // memcached (flush compares the item's time, which touch refreshes).
-      header.stored_at_ns = now;
-      header.flush_seq = shard.flush_seq;
-      WriteHeader(CacheEngine::ItemBytes(item), header);
-      engine.Touch(id, deadline);
-      ScheduleExpiry(shard, id, CacheEngine::ItemBytes(item), deadline);
-      ++shard.counters.touch_hits;
-      if (sink_ != nullptr) {
-        sink_->OnTouch(shard.index, key, UnixNsOfDeadline(deadline),
-                       UnixNsOfTime(now));
-      }
+      TouchItem(shard, id, key, CacheEngine::ItemBytes(item), header,
+                exptime_s, now);
     }
     AppendValueBlock(out, key, header.flags, ValueOf(item, header),
                      header.cas, with_cas);
@@ -369,9 +348,9 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
     if (flash != nullptr) {
       ArmFlashRead(shard, *slot, flash);
     } else if (touch) {
-      // A caller that cannot wait (Get, or a completion's re-run after
-      // the slot was re-demoted): an ordinary miss, already charged with
-      // the slot's exact size and penalty.
+      // A completion's re-run after the slot was re-demoted, which never
+      // defers twice: an ordinary miss, already charged with the slot's
+      // exact size and penalty.
       ++shard.counters.touch_misses;
     }
     // Last: a drain can append to the tier and move `slot`.
@@ -388,25 +367,7 @@ bool CacheService::GetLocked(Shard& shard, KeyId id, std::string_view key,
   return false;
 }
 
-StoreStatus CacheService::Store(StoreVerb verb, std::string_view key,
-                                std::uint32_t flags, std::int64_t exptime_s,
-                                std::string_view value,
-                                std::uint64_t cas_unique) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  StoreStatus status;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    status = StoreLocked(shard, id, verb, key, flags, exptime_s, value,
-                         cas_unique, NowNs());
-  }
-  // Pre-reply durability point: with --persist-fsync=always the record
-  // is on stable storage before the client can observe STORED.
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return status;
-}
-
-StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
+StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, Verb verb,
                                       std::string_view key,
                                       std::uint32_t flags,
                                       std::int64_t exptime_s,
@@ -426,16 +387,14 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
   // append/prepend need the stored bytes, so only they defer.
   flash::Slot* fslot = !cached ? FlashSlotLive(shard, id, now) : nullptr;
   switch (verb) {
-    case StoreVerb::kSet:
-      break;
-    case StoreVerb::kAdd:
+    case Verb::kAdd:
       if (cached || fslot != nullptr) return StoreStatus::kNotStored;
       break;
-    case StoreVerb::kReplace:
+    case Verb::kReplace:
       if (!cached && fslot == nullptr) return StoreStatus::kNotStored;
       break;
-    case StoreVerb::kAppend:
-    case StoreVerb::kPrepend:
+    case Verb::kAppend:
+    case Verb::kPrepend:
       if (!cached) {
         if (fslot != nullptr && flash != nullptr) {
           // The old value is on flash: defer; the completion promotes and
@@ -446,7 +405,7 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
         return StoreStatus::kNotStored;
       }
       break;
-    case StoreVerb::kCas:
+    case Verb::kCas:
       if (!cached && fslot == nullptr) {
         ++shard.counters.cas_misses;
         return StoreStatus::kNotFound;
@@ -457,6 +416,8 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
         ++shard.counters.cas_badval;
         return StoreStatus::kExists;
       }
+      break;
+    default:  // set: unconditional
       break;
   }
   // Stage every allocation the store needs before the engine mutates. A
@@ -469,7 +430,7 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
   // caller's.
   std::uint32_t new_flags = flags;
   std::int64_t deadline = 0;
-  if (verb == StoreVerb::kAppend || verb == StoreVerb::kPrepend) {
+  if (verb == Verb::kAppend || verb == Verb::kPrepend) {
     // The engine may reuse or recycle the old item's slot, so the
     // concatenation is built outside the arena first.
     const Item& item = engine.ItemAt(existing);
@@ -477,8 +438,8 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
     std::string& buf = shard.concat_buf;
     buf.clear();
     buf.reserve(old_value.size() + value.size());
-    buf.append(verb == StoreVerb::kAppend ? old_value : value);
-    buf.append(verb == StoreVerb::kAppend ? value : old_value);
+    buf.append(verb == Verb::kAppend ? old_value : value);
+    buf.append(verb == Verb::kAppend ? value : old_value);
     new_value = buf;
     new_flags = old.flags;
     deadline = item.expire_at_ns;
@@ -514,7 +475,7 @@ StoreStatus CacheService::StoreLocked(Shard& shard, KeyId id, StoreVerb verb,
   // keeps recovery replay honest (no-op when no slot exists).
   if (flash_ != nullptr) flash_->EraseWithTombstone(shard.index, id, key);
   ScheduleExpiry(shard, id, result.bytes, deadline);
-  if (verb == StoreVerb::kCas) ++shard.counters.cas_hits;
+  if (verb == Verb::kCas) ++shard.counters.cas_hits;
   if (sink_ != nullptr) {
     // Log the committed state (concat verbs included), not the wire
     // arguments.
@@ -527,25 +488,6 @@ void CacheService::ForgetDurableCopies(Shard& shard, KeyId id,
                                        std::string_view key) {
   if (flash_ != nullptr) flash_->EraseWithTombstone(shard.index, id, key);
   if (sink_ != nullptr) sink_->OnDelete(shard.index, key);
-}
-
-bool CacheService::Set(std::string_view key, std::uint32_t flags,
-                       std::string_view value) {
-  return Store(StoreVerb::kSet, key, flags, /*exptime_s=*/0, value) ==
-         StoreStatus::kStored;
-}
-
-ArithmeticResult CacheService::IncrDecr(std::string_view key,
-                                        std::uint64_t delta, bool increment) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  ArithmeticResult result;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    result = IncrDecrLocked(shard, id, key, delta, increment, NowNs());
-  }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return result;
 }
 
 ArithmeticResult CacheService::IncrDecrLocked(Shard& shard, KeyId id,
@@ -614,47 +556,30 @@ ArithmeticResult CacheService::IncrDecrLocked(Shard& shard, KeyId id,
   return ArithmeticResult{ArithmeticResult::Status::kOk, next};
 }
 
-bool CacheService::Touch(std::string_view key, std::int64_t exptime_s) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  bool touched;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    touched = TouchLocked(shard, id, key, exptime_s, NowNs());
-  }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return touched;
-}
-
 bool CacheService::TouchLocked(Shard& shard, KeyId id, std::string_view key,
                                std::int64_t exptime_s, std::int64_t now) {
   SlotHeader header;
   const ItemHandle h = LiveUnexpired(shard, id, key, now, &header);
-  if (h == kInvalidHandle) {
-    // A flash-resident key touches in metadata alone — no disk read. The
-    // on-disk record keeps its old TTL until GC rewrites it, so a crash
-    // loses the refresh; acceptable for a cache tier.
-    if (flash::Slot* slot = FlashSlotLive(shard, id, now)) {
-      const std::int64_t deadline = DeadlineFor(exptime_s, now);
-      slot->expire_at_ns = deadline;
-      slot->stored_at_ns = now;  // rescues it from a pending flush epoch
-      slot->flush_seq = shard.flush_seq;
-      ++shard.counters.touch_hits;
-      if (sink_ != nullptr) {
-        sink_->OnTouch(shard.index, key, UnixNsOfDeadline(deadline),
-                       UnixNsOfTime(now));
-      }
-      return true;
-    }
-    ++shard.counters.touch_misses;
-    return false;
+  if (h != kInvalidHandle) {
+    TouchItem(shard, id, key, CacheEngine::ItemBytes(shard.engine->ItemAt(h)),
+              header, exptime_s, now);
+    return true;
   }
+  // A flash-resident key touches without a disk read.
+  if (flash::Slot* slot = FlashSlotLive(shard, id, now)) {
+    TouchSlot(shard, *slot, key, exptime_s, now);
+    return true;
+  }
+  ++shard.counters.touch_misses;
+  return false;
+}
+
+void CacheService::TouchItem(Shard& shard, KeyId id, std::string_view key,
+                             char* bytes, SlotHeader header,
+                             std::int64_t exptime_s, std::int64_t now) {
   const std::int64_t deadline = DeadlineFor(exptime_s, now);
-  // Refreshing the item's time also rescues it from a pending flush
-  // epoch, matching memcached.
   header.stored_at_ns = now;
   header.flush_seq = shard.flush_seq;
-  char* bytes = CacheEngine::ItemBytes(shard.engine->ItemAt(h));
   WriteHeader(bytes, header);
   shard.engine->Touch(id, deadline);
   ScheduleExpiry(shard, id, bytes, deadline);
@@ -663,19 +588,19 @@ bool CacheService::TouchLocked(Shard& shard, KeyId id, std::string_view key,
     sink_->OnTouch(shard.index, key, UnixNsOfDeadline(deadline),
                    UnixNsOfTime(now));
   }
-  return true;
 }
 
-bool CacheService::Del(std::string_view key) {
-  const KeyId id = HashStringKey(key);
-  Shard& shard = ShardFor(id);
-  bool deleted;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    deleted = DelLocked(shard, id, key, NowNs());
+void CacheService::TouchSlot(Shard& shard, flash::Slot& slot,
+                             std::string_view key, std::int64_t exptime_s,
+                             std::int64_t now) {
+  slot.expire_at_ns = DeadlineFor(exptime_s, now);
+  slot.stored_at_ns = now;
+  slot.flush_seq = shard.flush_seq;
+  ++shard.counters.touch_hits;
+  if (sink_ != nullptr) {
+    sink_->OnTouch(shard.index, key, UnixNsOfDeadline(slot.expire_at_ns),
+                   UnixNsOfTime(now));
   }
-  if (sink_ != nullptr) sink_->Commit(shard.index);
-  return deleted;
 }
 
 bool CacheService::DelLocked(Shard& shard, KeyId id, std::string_view key,
@@ -821,8 +746,8 @@ bool CacheService::ExecuteOpLocked(Shard& shard, Batch& batch, BatchOp& op,
       case Verb::kPrepend:
       case Verb::kCas: {
         const StoreStatus status =
-            StoreLocked(shard, op.id, ToStoreVerb(op.verb), op.key, op.flags,
-                        op.exptime, op.value, op.cas, now, flash);
+            StoreLocked(shard, op.id, op.verb, op.key, op.flags, op.exptime,
+                        op.value, op.cas, now, flash);
         if (op.flash.armed) return false;
         found = status == StoreStatus::kStored;
         if (!op.noreply) AppendLiteral(op.out, StoreReplyText(status));
@@ -1397,19 +1322,7 @@ void CacheService::ServeFromFlashLocked(Shard& shard, BatchOp& op,
     case Verb::kGat:
     case Verb::kGats:
       if (slot != nullptr) {
-        if (op.touch) {
-          // gat against the tier: the deadline moves in the slot (the
-          // on-disk record keeps its TTL until GC rewrites it).
-          slot->expire_at_ns = DeadlineFor(op.exptime, now);
-          slot->stored_at_ns = now;
-          slot->flush_seq = shard.flush_seq;
-          ++shard.counters.touch_hits;
-          if (sink_ != nullptr) {
-            sink_->OnTouch(shard.index, op.key,
-                           UnixNsOfDeadline(slot->expire_at_ns),
-                           UnixNsOfTime(now));
-          }
-        }
+        if (op.touch) TouchSlot(shard, *slot, op.key, op.exptime, now);
         AppendValueBlock(op.out, op.key, slot->flags, rec.value, slot->cas,
                          op.with_cas);
         ++shard.counters.flash_hits;

@@ -2,10 +2,11 @@
 // in one process, FakeClock-driven. Covers penalty-aware demotion on
 // eviction, the deferred read/promote round trip inside a batch
 // (cas/flags/value preserved exactly), the verb matrix on flash-resident
-// keys, in-flight read races (delete / overwrite / flush_all /
-// incr-vs-delete), request order around a deferred op, the receive-buffer
-// bound while a batch waits, TTL and flush lapses, and tier recovery into
-// a fresh service. Runs under the `flash` ctest label.
+// keys, tier-direct completions when DRAM refuses the promote, in-flight
+// read races (delete / overwrite / flush_all / incr-vs-delete), request
+// order around a deferred op, the receive-buffer bound while a batch
+// waits, TTL and flush lapses, and tier recovery into a fresh service.
+// Runs under the `flash` ctest label.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +16,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,15 +31,20 @@
 #include "pamakv/net/batch.hpp"
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/net/connection.hpp"
+#include "pamakv/policy/no_realloc.hpp"
 #include "pamakv/sim/experiment.hpp"
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/failpoint.hpp"
+#include "service_ops.hpp"
 
 namespace pamakv::net {
 namespace {
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
+
+using ops::HeldBatch;
+using ops::ParseArithmetic;
 
 constexpr std::int64_t kUnixBase = 1'700'000'000;
 
@@ -78,7 +82,8 @@ struct Node {
 std::unique_ptr<Node> MakeNode(const std::string& dir,
                                Bytes capacity = 256 * 1024,
                                double admit_min_value = 0.0,
-                               bool io_thread = false, std::size_t shards = 1) {
+                               bool io_thread = false, std::size_t shards = 1,
+                               CacheService::EngineFactory factory = nullptr) {
   auto node = std::make_unique<Node>();
   node->clock.SetWallBase(kUnixBase * 1'000'000'000);
   CacheServiceConfig cfg;
@@ -86,9 +91,12 @@ std::unique_ptr<Node> MakeNode(const std::string& dir,
   cfg.capacity_bytes = capacity;
   cfg.clock = &node->clock;
   cfg.unix_now_s = kUnixBase;
-  node->service = std::make_unique<CacheService>(cfg, [](Bytes bytes) {
-    return MakeEngine("pama", bytes, SizeClassConfig{});
-  });
+  if (!factory) {
+    factory = [](Bytes bytes) {
+      return MakeEngine("pama", bytes, SizeClassConfig{});
+    };
+  }
+  node->service = std::make_unique<CacheService>(cfg, factory);
   flash::FlashConfig fcfg;
   fcfg.dir = dir;
   fcfg.shards = shards;
@@ -126,8 +134,8 @@ const flash::Slot* FlashSlotOf(Node& node, const std::string& key) {
     if (FlashSlotOf(node, key) != nullptr) {
       return ::testing::AssertionSuccess();
     }
-    node.service->Store(StoreVerb::kSet, "filler:" + std::to_string(i), flags,
-                        0, filler_value);
+    ops::Store(*node.service, Verb::kSet, "filler:" + std::to_string(i),
+               flags, 0, filler_value);
   }
   if (FlashSlotOf(node, key) != nullptr) return ::testing::AssertionSuccess();
   return ::testing::AssertionFailure() << key << " never demoted to flash";
@@ -148,82 +156,9 @@ std::uint64_t ParseCas(const std::string& block) {
 
 std::string GetsBlock(CacheService& service, const std::string& key) {
   std::vector<char> out;
-  if (!service.Get(key, out, /*with_cas=*/true)) return "";
+  if (!ops::Get(service, key, out, /*with_cas=*/true)) return "";
   return std::string(out.data(), out.size());
 }
-
-/// Runs ops as one batch, as a connection does, and holds every flash
-/// completion until the test releases it: the seam between a read's
-/// schedule (and, with no IO thread, the read itself) and its completion,
-/// where the race tests mutate the key.
-class HeldBatch {
- public:
-  HeldBatch() {
-    batch.post_home = [this](std::function<void()> fn) {
-      std::lock_guard<std::mutex> lock(mu_);
-      held_.push_back(std::move(fn));
-      cv_.notify_all();
-    };
-    batch.on_complete = [this] { completed_ = true; };
-  }
-
-  BatchOp& Add(Verb verb, const std::string& key) {
-    BatchOp& op = batch.Push();
-    op.verb = verb;
-    op.key = key;
-    op.with_cas = verb == Verb::kGets || verb == Verb::kGats;
-    op.touch = verb == Verb::kGat || verb == Verb::kGats;
-    return op;
-  }
-
-  /// Runs the batch; true when no op waits on flash.
-  bool Execute(CacheService& service) {
-    completed_ = service.ExecuteBatch(batch);
-    return completed_;
-  }
-
-  /// Blocks until a completion is held (an IO-thread read posts it).
-  bool WaitHeld(std::chrono::seconds timeout) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, timeout, [this] { return !held_.empty(); });
-  }
-
-  [[nodiscard]] std::size_t held() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return held_.size();
-  }
-
-  /// Runs the held completion at `i` (oldest first by default).
-  void Release(std::size_t i = 0) {
-    std::function<void()> fn;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fn = std::move(held_[i]);
-      held_.erase(held_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    fn();
-  }
-
-  /// Releases completions in arrival order until the batch has finished.
-  void ReleaseAll() {
-    while (!completed_ && held() > 0) Release();
-  }
-
-  [[nodiscard]] bool completed() const { return completed_; }
-
-  [[nodiscard]] std::string Reply(std::size_t i) const {
-    const auto& out = batch.op(i).out;
-    return std::string(out.data(), out.size());
-  }
-
-  Batch batch;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::function<void()>> held_;
-  bool completed_ = false;
-};
 
 /// A gets of one key, run as a batch of one; `between` runs while its
 /// flash read (if any) is in flight. Returns the VALUE block ("" on a
@@ -239,18 +174,6 @@ bool FlashAwareGet(Node& node, const std::string& key, std::string* block,
   EXPECT_TRUE(b.completed());
   *block = b.Reply(0);
   return !block->empty();
-}
-
-/// Parses an incr/decr wire reply.
-ArithmeticResult ParseArithmetic(const std::string& reply) {
-  if (reply == "NOT_FOUND\r\n") {
-    return ArithmeticResult{ArithmeticResult::Status::kNotFound, 0};
-  }
-  if (reply.rfind("CLIENT_ERROR", 0) == 0) {
-    return ArithmeticResult{ArithmeticResult::Status::kNonNumeric, 0};
-  }
-  return ArithmeticResult{ArithmeticResult::Status::kOk,
-                          std::strtoull(reply.c_str(), nullptr, 10)};
 }
 
 ArithmeticResult FlashAwareIncrDecr(
@@ -300,7 +223,7 @@ TEST_F(FlashServiceTest, EvictionsDemoteWithPerBandCounters) {
   // volume that the engine must evict.
   for (int i = 0; i < 4000; ++i) {
     const auto flags = static_cast<std::uint32_t>(500 + (i % 7) * 1'500);
-    node->service->Store(StoreVerb::kSet, "key:" + std::to_string(i), flags, 0,
+    ops::Store(*node->service, Verb::kSet, "key:" + std::to_string(i), flags, 0,
                          Payload(std::to_string(i)));
   }
   const auto& stats = node->tier->shard_stats(0);
@@ -325,8 +248,8 @@ TEST_F(FlashServiceTest, AdmissionFloorRefusesLowValueDemotions) {
     const auto flags = static_cast<std::uint32_t>(500 + (i % 7) * 1'500);
     const std::string key = "key:" + std::to_string(i);
     const std::string value = Payload(std::to_string(i));
-    accept->service->Store(StoreVerb::kSet, key, flags, 0, value);
-    refuse->service->Store(StoreVerb::kSet, key, flags, 0, value);
+    ops::Store(*accept->service, Verb::kSet, key, flags, 0, value);
+    ops::Store(*refuse->service, Verb::kSet, key, flags, 0, value);
   }
   EXPECT_GT(accept->tier->shard_stats(0).demotes, 0u);
   EXPECT_EQ(refuse->tier->shard_stats(0).demotes, 0u);
@@ -340,7 +263,7 @@ TEST_F(FlashServiceTest, FlashHitServesExactValueFlagsAndCas) {
   auto node = MakeNode(dir.path());
   const std::string key = "the-key";
   const std::string value = Payload("original");
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 4321, 0, value),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 4321, 0, value),
             StoreStatus::kStored);
   const std::string before = GetsBlock(*node->service, key);
   ASSERT_FALSE(before.empty());
@@ -373,7 +296,7 @@ TEST_F(FlashServiceTest, CasStoreRoundTripAcrossDemotion) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "cas-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("v1")),
             StoreStatus::kStored);
   const std::uint64_t cas = ParseCas(GetsBlock(*node->service, key));
@@ -401,7 +324,7 @@ TEST_F(FlashServiceTest, StoreVerbMatrixOnFlashResidentKey) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "verb-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0, "hello"),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0, "hello"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "fillr"));
 
@@ -421,7 +344,7 @@ TEST_F(FlashServiceTest, StoreVerbMatrixOnFlashResidentKey) {
 
   // replace on a flash-resident key succeeds without a disk read.
   const std::string other = "verb-key-2";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, other, 2000, 0, "old"),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, other, 2000, 0, "old"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, other, 2000, "old"));
   EXPECT_EQ(RunStore(*node, Verb::kReplace, other, 2000, "new", 0, &deferred),
@@ -435,13 +358,13 @@ TEST_F(FlashServiceTest, RefusedStoreDropsTheFlashCopy) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "refused-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("old")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
   // Larger than any slot: refused, and the flash-resident older value
   // must not be served in its place.
-  EXPECT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  EXPECT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  std::string(40 * 1024, 'h')),
             StoreStatus::kNotStored);
   EXPECT_EQ(node->tier->Find(0, HashStringKey(key)), nullptr);
@@ -453,7 +376,7 @@ TEST_F(FlashServiceTest, IncrDecrPromotesThenMutates) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "counter";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0, "41"),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0, "41"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "41"));
 
@@ -466,23 +389,136 @@ TEST_F(FlashServiceTest, IncrDecrPromotesThenMutates) {
   EXPECT_GE(node->service->TotalCounters().incr_hits, 1u);
 }
 
+// ---- tier-direct completions: no DRAM seat for the promote ----
+
+/// memcached's policy until armed; armed, it refuses every MakeRoom, so a
+/// full DRAM has no seat for a promote and the completion answers against
+/// the tier.
+class RefusingPolicy final : public AllocationPolicy {
+ public:
+  explicit RefusingPolicy(const bool* refuse) : refuse_(refuse) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "refusing";
+  }
+  void Attach(CacheEngine& engine) override {
+    AllocationPolicy::Attach(engine);
+    inner_.Attach(engine);
+  }
+  [[nodiscard]] bool MakeRoom(ClassId cls, SubclassId sub) override {
+    return !*refuse_ && inner_.MakeRoom(cls, sub);
+  }
+
+ private:
+  NoReallocPolicy inner_;
+  const bool* refuse_;
+};
+
+// Every value is 20 bytes, so every item (fillers included) shares one
+// size class and DRAM stays full once the fillers have demoted a key.
+TEST_F(FlashServiceTest, RefusedPromoteAnswersAgainstTheTier) {
+  TempDir dir;
+  bool refuse = false;
+  auto node = MakeNode(dir.path(), 256 * 1024, 0.0, false, 1,
+                       [&refuse](Bytes bytes) {
+                         EngineConfig cfg;
+                         cfg.capacity_bytes = bytes;
+                         return std::make_unique<CacheEngine>(
+                             cfg, std::make_unique<RefusingPolicy>(&refuse));
+                       });
+  const std::string filler(20, 'f');
+  const auto demote = [&](const std::string& key, const std::string& value) {
+    refuse = false;
+    ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 4321, 0, value),
+              StoreStatus::kStored);
+    const std::string before = GetsBlock(*node->service, key);
+    ASSERT_TRUE(EvictToFlash(*node, key, 4321, filler));
+    refuse = true;
+    EXPECT_EQ(FlashSlotOf(*node, key)->cas, ParseCas(before));
+  };
+
+  // gets: value, flags and cas served from the tier; the slot stays.
+  const std::string key = "direct-get";
+  const std::string value = "0123456789abcdefghij";
+  demote(key, value);
+  const std::uint64_t cas = FlashSlotOf(*node, key)->cas;
+  std::string block;
+  ASSERT_TRUE(FlashAwareGet(*node, key, &block));
+  EXPECT_EQ(block, "VALUE " + key + " 4321 20 " + std::to_string(cas) +
+                       "\r\n" + value + "\r\n");
+  ServiceCounters counters = node->service->TotalCounters();
+  EXPECT_EQ(counters.flash_direct_serves, 1u);
+  EXPECT_EQ(counters.flash_promotes, 0u);
+  EXPECT_EQ(counters.flash_hits, 1u);
+  EXPECT_EQ(counters.flash_penalty_saved_us, 4321u);
+  ASSERT_NE(FlashSlotOf(*node, key), nullptr);
+  EXPECT_EQ(FlashSlotOf(*node, key)->cas, cas);
+
+  // gat: the slot's deadline moves; the value is served as before.
+  {
+    HeldBatch b;
+    b.Add(Verb::kGat, key).exptime = 100;
+    EXPECT_FALSE(b.Execute(*node->service));
+    b.ReleaseAll();
+    ASSERT_TRUE(b.completed());
+    EXPECT_EQ(b.Reply(0), "VALUE " + key + " 4321 20\r\n" + value + "\r\n");
+  }
+  ASSERT_NE(FlashSlotOf(*node, key), nullptr);
+  EXPECT_EQ(FlashSlotOf(*node, key)->expire_at_ns,
+            node->clock.NowNanos() + 100LL * 1'000'000'000);
+  counters = node->service->TotalCounters();
+  EXPECT_EQ(counters.touch_hits, 1u);
+  EXPECT_EQ(counters.flash_direct_serves, 2u);
+
+  // incr: a new record under a new cas, and the new value in the reply.
+  const std::string ctr = "direct-ctr";
+  demote(ctr, "10000000000000000041");
+  const std::uint64_t ctr_cas = FlashSlotOf(*node, ctr)->cas;
+  const ArithmeticResult result = FlashAwareIncrDecr(*node, ctr, 1, true);
+  EXPECT_EQ(result.status, ArithmeticResult::Status::kOk);
+  EXPECT_EQ(result.value, 10000000000000000042u);
+  ASSERT_NE(FlashSlotOf(*node, ctr), nullptr);
+  const std::uint64_t new_cas = FlashSlotOf(*node, ctr)->cas;
+  EXPECT_GT(new_cas, ctr_cas);
+  ASSERT_TRUE(FlashAwareGet(*node, ctr, &block));
+  EXPECT_EQ(block, "VALUE " + ctr + " 4321 20 " + std::to_string(new_cas) +
+                       "\r\n10000000000000000042\r\n");
+  counters = node->service->TotalCounters();
+  EXPECT_EQ(counters.incr_hits, 1u);
+  EXPECT_EQ(counters.flash_direct_serves, 4u);
+
+  // append: refused, and the flash copy stands unchanged.
+  const std::string cat = "direct-cat";
+  demote(cat, "abcdefghij0123456789");
+  const std::uint64_t cat_cas = FlashSlotOf(*node, cat)->cas;
+  bool deferred = false;
+  EXPECT_EQ(RunStore(*node, Verb::kAppend, cat, 0, "-tail", 0, &deferred),
+            "NOT_STORED\r\n");
+  EXPECT_TRUE(deferred);
+  ASSERT_NE(FlashSlotOf(*node, cat), nullptr);
+  EXPECT_EQ(FlashSlotOf(*node, cat)->cas, cat_cas);
+  ASSERT_TRUE(FlashAwareGet(*node, cat, &block));
+  EXPECT_EQ(block, "VALUE " + cat + " 4321 20 " + std::to_string(cat_cas) +
+                       "\r\nabcdefghij0123456789\r\n");
+  EXPECT_EQ(node->service->TotalCounters().flash_promotes, 0u);
+}
+
 // ---- lapses ----
 
 TEST_F(FlashServiceTest, DeleteAndFlushKillFlashResidents) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "dead-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("doomed")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
-  EXPECT_TRUE(node->service->Del(key));
+  EXPECT_TRUE(ops::Del(*node->service, key));
   EXPECT_EQ(node->tier->Find(0, HashStringKey(key)), nullptr);
   std::string block;
   EXPECT_FALSE(FlashAwareGet(*node, key, &block));
 
   const std::string key2 = "flushed-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key2, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key2, 2000, 0,
                                  Payload("doomed2")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key2, 2000));
@@ -496,7 +532,7 @@ TEST_F(FlashServiceTest, TtlLapsesOnFlashSlot) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "ttl-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, /*exptime_s=*/30,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, /*exptime_s=*/30,
                                  Payload("short-lived")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
@@ -518,13 +554,13 @@ TEST_F(FlashServiceTest, DeleteWhileReadInFlightIsNotResurrected) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "race-del";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("stale")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
   std::string block;
   const bool hit = FlashAwareGet(*node, key, &block, [&] {
-    EXPECT_TRUE(node->service->Del(key));
+    EXPECT_TRUE(ops::Del(*node->service, key));
   });
   EXPECT_FALSE(hit);
   EXPECT_TRUE(block.empty());
@@ -537,13 +573,13 @@ TEST_F(FlashServiceTest, OverwriteWhileReadInFlightServesNewValue) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "race-set";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("stale")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
   std::string block;
   const bool hit = FlashAwareGet(*node, key, &block, [&] {
-    ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+    ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                    Payload("fresh")),
               StoreStatus::kStored);
   });
@@ -558,7 +594,7 @@ TEST_F(FlashServiceTest, FlushWhileReadInFlightMisses) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "race-flush";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("flushed")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
@@ -574,11 +610,11 @@ TEST_F(FlashServiceTest, IncrVsDeleteRaceAnswersNotFound) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "race-incr";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0, "100"),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0, "100"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "100"));
   const ArithmeticResult result = FlashAwareIncrDecr(
-      *node, key, 5, true, [&] { EXPECT_TRUE(node->service->Del(key)); });
+      *node, key, 5, true, [&] { EXPECT_TRUE(ops::Del(*node->service, key)); });
   EXPECT_EQ(result.status, ArithmeticResult::Status::kNotFound);
   std::string block;
   EXPECT_FALSE(FlashAwareGet(*node, key, &block));
@@ -593,7 +629,7 @@ TEST_F(FlashServiceTest, ThreadedIncrVsDeleteRaceWithSleepFailpoint) {
   auto node = MakeNode(dir.path(), 256 * 1024, 0.0, /*io_thread=*/true);
   node->tier->StartIo();
   const std::string key = "race-threaded";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0, "7"),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0, "7"),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000, "7"));
 
@@ -604,7 +640,7 @@ TEST_F(FlashServiceTest, ThreadedIncrVsDeleteRaceWithSleepFailpoint) {
   b.Add(Verb::kIncr, key).delta = 1;
   ASSERT_FALSE(b.Execute(*node->service));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(node->service->Del(key));
+  EXPECT_TRUE(ops::Del(*node->service, key));
   ASSERT_TRUE(b.WaitHeld(std::chrono::seconds(10)));
   util::FailPoints::DisableAll();
   b.ReleaseAll();
@@ -666,15 +702,17 @@ TEST_F(FlashServiceTest, DeferralKeepsRequestOrderWithinAShard) {
   auto node = MakeNode(dir.path());
   const std::string old_value = Payload("old");
   const std::string on_flash = Payload("second");
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, "k", 2000, 0, old_value),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, "k", 2000, 0, old_value),
             StoreStatus::kStored);
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, "k2", 2000, 0, on_flash),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, "k2", 2000, 0, on_flash),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, "k", 2000));
   ASSERT_TRUE(EvictToFlash(*node, "k2", 2000));
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, "a", 2000, 0, Payload("alpha")),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, "a", 2000, 0,
+                       Payload("alpha")),
             StoreStatus::kStored);
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, "b", 2000, 0, Payload("bravo")),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, "b", 2000, 0,
+                       Payload("bravo")),
             StoreStatus::kStored);
   ASSERT_NE(FlashSlotOf(*node, "k"), nullptr);
   ASSERT_NE(FlashSlotOf(*node, "k2"), nullptr);
@@ -713,15 +751,17 @@ TEST_F(FlashServiceTest, CompletionsOutOfOrderAcrossShardsKeepRequestOrder) {
   const std::string k1 = KeyOnShard(*node, "f1-", 1);
   const std::string d0 = KeyOnShard(*node, "d0-", 0);
   const std::string d1 = KeyOnShard(*node, "d1-", 1);
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, k0, 2000, 0, Payload(k0)),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, k0, 2000, 0, Payload(k0)),
             StoreStatus::kStored);
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, k1, 2000, 0, Payload(k1)),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, k1, 2000, 0, Payload(k1)),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, k0, 2000));
   ASSERT_TRUE(EvictToFlash(*node, k1, 2000));
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, d0, 2000, 0, Payload("zero")),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, d0, 2000, 0,
+                       Payload("zero")),
             StoreStatus::kStored);
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, d1, 2000, 0, Payload("one")),
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, d1, 2000, 0,
+                       Payload("one")),
             StoreStatus::kStored);
 
   HeldConnection c(*node->service);
@@ -756,7 +796,7 @@ TEST_F(FlashServiceTest, ReadingStopsBehindABatchWaitingOnFlash) {
   TempDir dir;
   auto node = MakeNode(dir.path());
   const std::string key = "slow-key";
-  ASSERT_EQ(node->service->Store(StoreVerb::kSet, key, 2000, 0,
+  ASSERT_EQ(ops::Store(*node->service, Verb::kSet, key, 2000, 0,
                                  Payload("slow")),
             StoreStatus::kStored);
   ASSERT_TRUE(EvictToFlash(*node, key, 2000));
@@ -839,17 +879,17 @@ TEST_F(FlashServiceTest, RecoveryServesFlashResidentsAndHonorsTombstones) {
   const std::string gone = "recover-gone";
   {
     auto node = MakeNode(dir.path());
-    ASSERT_EQ(node->service->Store(StoreVerb::kSet, keep, 3333, 0,
+    ASSERT_EQ(ops::Store(*node->service, Verb::kSet, keep, 3333, 0,
                                    Payload("survivor")),
               StoreStatus::kStored);
     original_cas = ParseCas(GetsBlock(*node->service, keep));
     ASSERT_NE(original_cas, 0u);
-    ASSERT_EQ(node->service->Store(StoreVerb::kSet, gone, 3333, 0,
+    ASSERT_EQ(ops::Store(*node->service, Verb::kSet, gone, 3333, 0,
                                    Payload("deleted")),
               StoreStatus::kStored);
     ASSERT_TRUE(EvictToFlash(*node, keep, 3333));
     ASSERT_TRUE(EvictToFlash(*node, gone, 3333));
-    EXPECT_TRUE(node->service->Del(gone));  // tombstoned on flash
+    EXPECT_TRUE(ops::Del(*node->service, gone));  // tombstoned on flash
   }
   auto warm = MakeNode(dir.path());
   EXPECT_GT(warm->tier->shard_stats(0).recovered_items, 0u);
@@ -864,7 +904,7 @@ TEST_F(FlashServiceTest, RecoveryServesFlashResidentsAndHonorsTombstones) {
 
   // cas_counter was bumped past every recovered record: a fresh store's
   // stamp is strictly newer than the flash-resident survivor's.
-  ASSERT_EQ(warm->service->Store(StoreVerb::kSet, "fresh-key", 1, 0, "x"),
+  ASSERT_EQ(ops::Store(*warm->service, Verb::kSet, "fresh-key", 1, 0, "x"),
             StoreStatus::kStored);
   EXPECT_GT(ParseCas(GetsBlock(*warm->service, "fresh-key")), original_cas);
 }

@@ -15,6 +15,7 @@
 #include "pamakv/policy/no_realloc.hpp"
 #include "pamakv/policy/policy.hpp"
 #include "pamakv/slab/slab_pool.hpp"
+#include "service_ops.hpp"
 
 namespace pamakv {
 namespace {
@@ -263,12 +264,13 @@ TEST(GhostLocatorTest, ServiceAnswersMissWhenTheHitsTickEvictsTheItem) {
   net::CacheService svc(cfg, [&probe](Bytes /*bytes*/) {
     return MakeProbedEngine(&probe);
   });
-  ASSERT_TRUE(svc.Set("k", 0, "value"));  // header + key + value: class 0
+  // header + key + value: class 0
+  ASSERT_TRUE(net::ops::Set(svc, "k", 0, "value"));
   probe->EvictOnNextTick(0);
   std::vector<char> out;
-  EXPECT_FALSE(svc.Get("k", out, /*with_cas=*/false));
+  EXPECT_FALSE(net::ops::Get(svc, "k", out, /*with_cas=*/false));
   EXPECT_TRUE(out.empty());
-  EXPECT_FALSE(svc.Get("k", out, /*with_cas=*/false));
+  EXPECT_FALSE(net::ops::Get(svc, "k", out, /*with_cas=*/false));
 }
 
 TEST(GhostLocatorTest, LocatorNeverOutgrowsTheGhostLists) {

@@ -40,6 +40,7 @@
 #include "pamakv/persist/format.hpp"
 #include "pamakv/persist/persister.hpp"
 #include "pamakv/sim/experiment.hpp"
+#include "service_ops.hpp"
 
 #ifndef PAMAKV_SERVER_BINARY
 #define PAMAKV_SERVER_BINARY ""
@@ -212,7 +213,7 @@ Recovered RecoverDir(const std::string& dir) {
 /// Wire-block lookup: "" on miss, the full VALUE block on hit.
 std::string GetBlock(net::CacheService& service, const std::string& key) {
   std::vector<char> out;
-  if (!service.Get(key, out, /*with_cas=*/false)) return "";
+  if (!net::ops::Get(service, key, out, /*with_cas=*/false)) return "";
   return std::string(out.data(), out.size());
 }
 
@@ -312,7 +313,7 @@ void RunEntry(const MatrixEntry& entry, std::uint64_t seed) {
   }
   // And the recovered cache serves.
   std::vector<char> out;
-  EXPECT_TRUE(r.service->Set("post-recovery", 0, "works"));
+  EXPECT_TRUE(net::ops::Set(*r.service, "post-recovery", 0, "works"));
 }
 
 TEST(CrashMatrixTest, KillAtEverySeamUnderFsyncAlways) {

@@ -31,6 +31,7 @@
 #include "pamakv/util/clock.hpp"
 #include "pamakv/util/failpoint.hpp"
 #include "pamakv/util/rng.hpp"
+#include "service_ops.hpp"
 
 namespace pamakv::persist {
 namespace {
@@ -108,7 +109,7 @@ std::uint32_t Penalty(std::size_t i) {
 /// observe about the key.
 std::string GetsBlock(net::CacheService& service, const std::string& key) {
   std::vector<char> out;
-  if (!service.Get(key, out, /*with_cas=*/true)) return "";
+  if (!net::ops::Get(service, key, out, /*with_cas=*/true)) return "";
   return std::string(out.data(), out.size());
 }
 
@@ -151,7 +152,8 @@ EngineShape ShapeOf(const CacheEngine& engine) {
 
 void StoreN(net::CacheService& service, std::size_t begin, std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
-    service.Store(net::StoreVerb::kSet, Key(i), Penalty(i), 0, Value(i));
+    net::ops::Store(service, net::Verb::kSet, Key(i), Penalty(i), 0,
+                    Value(i));
   }
 }
 
@@ -173,14 +175,16 @@ TEST_F(PersistRecoveryTest, WalOnlyRoundTripRestoresEveryMutation) {
     Node node = MakeNode(dir.path());
     StoreN(*node.service, 0, 50);
     // Overwrites, deletes, arithmetic, a concatenation — every WAL verb.
-    node.service->Store(net::StoreVerb::kSet, Key(3), Penalty(3), 0, "v2");
-    node.service->Store(net::StoreVerb::kAppend, Key(4), 0, 0, "-tail");
-    EXPECT_TRUE(node.service->Del(Key(5)));
-    node.service->Store(net::StoreVerb::kSet, "ctr", 100, 0, "41");
-    const auto arith = node.service->IncrDecr("ctr", 1, /*increment=*/true);
+    net::ops::Store(*node.service, net::Verb::kSet, Key(3), Penalty(3), 0,
+                    "v2");
+    net::ops::Store(*node.service, net::Verb::kAppend, Key(4), 0, 0, "-tail");
+    EXPECT_TRUE(net::ops::Del(*node.service, Key(5)));
+    net::ops::Store(*node.service, net::Verb::kSet, "ctr", 100, 0, "41");
+    const auto arith =
+        net::ops::IncrDecr(*node.service, "ctr", 1, /*increment=*/true);
     ASSERT_EQ(arith.status, net::ArithmeticResult::Status::kOk);
     EXPECT_EQ(arith.value, 42u);
-    EXPECT_TRUE(node.service->Touch(Key(6), 3'600));
+    EXPECT_TRUE(net::ops::Touch(*node.service, Key(6), 3'600));
     for (std::size_t i = 0; i < 50; ++i) {
       expected[i] = GetsBlock(*node.service, Key(i));
     }
@@ -203,9 +207,9 @@ TEST_F(PersistRecoveryTest, RefusedStoreStaysRefusedAfterRestart) {
   TempDir dir;
   {
     Node node = MakeNode(dir.path());
-    node.service->Store(net::StoreVerb::kSet, "k", 100, 0, "old");
+    net::ops::Store(*node.service, net::Verb::kSet, "k", 100, 0, "old");
     // Larger than any slot: refused, and the older value is dropped.
-    EXPECT_EQ(node.service->Store(net::StoreVerb::kSet, "k", 100, 0,
+    EXPECT_EQ(net::ops::Store(*node.service, net::Verb::kSet, "k", 100, 0,
                                   std::string(40 * 1024, 'h')),
               net::StoreStatus::kNotStored);
     EXPECT_EQ(GetsBlock(*node.service, "k"), "");
@@ -232,7 +236,7 @@ TEST_F(PersistRecoveryTest, SnapshotRestoresLayoutGhostsAndItems) {
     std::vector<char> scratch;
     for (std::size_t i = 0; i < kKeys; i += 3) {
       scratch.clear();
-      node.service->Get(Key(i), scratch, false);
+      net::ops::Get(*node.service, Key(i), scratch, false);
     }
     ASSERT_TRUE(node.persister->SnapshotNow());
     live_before = node.service->ItemCount();
@@ -268,15 +272,15 @@ TEST_F(PersistRecoveryTest, WalTailReplaysOverSnapshot) {
   TempDir dir;
   {
     Node node = MakeNode(dir.path());
-    node.service->Store(net::StoreVerb::kSet, "stable", 0, 0, "same");
-    node.service->Store(net::StoreVerb::kSet, "mut", 0, 0, "old");
-    node.service->Store(net::StoreVerb::kSet, "doomed", 0, 0, "bye");
+    net::ops::Store(*node.service, net::Verb::kSet, "stable", 0, 0, "same");
+    net::ops::Store(*node.service, net::Verb::kSet, "mut", 0, 0, "old");
+    net::ops::Store(*node.service, net::Verb::kSet, "doomed", 0, 0, "bye");
     ASSERT_TRUE(node.persister->SnapshotNow());
     // Post-snapshot mutations land in the next WAL generation and must
     // win over the snapshot's versions on replay.
-    node.service->Store(net::StoreVerb::kSet, "mut", 0, 0, "new");
-    EXPECT_TRUE(node.service->Del("doomed"));
-    node.service->Store(net::StoreVerb::kSet, "late", 0, 0, "tail");
+    net::ops::Store(*node.service, net::Verb::kSet, "mut", 0, 0, "new");
+    EXPECT_TRUE(net::ops::Del(*node.service, "doomed"));
+    net::ops::Store(*node.service, net::Verb::kSet, "late", 0, 0, "tail");
     node.persister->Stop();
   }
 
@@ -296,11 +300,11 @@ TEST_F(PersistRecoveryTest, FlushAllEpochSurvivesRestart) {
   TempDir dir;
   {
     Node node = MakeNode(dir.path());
-    node.service->Store(net::StoreVerb::kSet, "before", 0, 0, "flushed");
+    net::ops::Store(*node.service, net::Verb::kSet, "before", 0, 0, "flushed");
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     node.service->FlushAll();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    node.service->Store(net::StoreVerb::kSet, "after", 0, 0, "survives");
+    net::ops::Store(*node.service, net::Verb::kSet, "after", 0, 0, "survives");
     node.persister->Stop();
   }
 
@@ -314,8 +318,8 @@ TEST_F(PersistRecoveryTest, TtlThatLapsedDuringDowntimeExpiresOnBoot) {
   TempDir dir;
   {
     Node node = MakeNode(dir.path());
-    node.service->Store(net::StoreVerb::kSet, "shortlived", 0, 1, "gone");
-    node.service->Store(net::StoreVerb::kSet, "forever", 0, 0, "kept");
+    net::ops::Store(*node.service, net::Verb::kSet, "shortlived", 0, 1, "gone");
+    net::ops::Store(*node.service, net::Verb::kSet, "forever", 0, 0, "kept");
     node.persister->Stop();
   }
   // The 1s TTL lapses while the server is "down".
@@ -341,14 +345,16 @@ TEST_F(PersistRecoveryTest, TouchReplayOrdersAgainstDowntimeLapsedTtl) {
   {
     Node node = MakeNode(dir.path(), 2, 2ULL * 1024 * 1024, FsyncMode::kNever,
                          &clock);
-    node.service->Store(net::StoreVerb::kSet, "touched", 0, 60, "extended");
-    node.service->Store(net::StoreVerb::kSet, "lapsed", 0, 60, "stale");
-    node.service->Store(net::StoreVerb::kSet, "shortened", 0, 3'600, "cut");
+    net::ops::Store(*node.service, net::Verb::kSet, "touched", 0, 60,
+                    "extended");
+    net::ops::Store(*node.service, net::Verb::kSet, "lapsed", 0, 60, "stale");
+    net::ops::Store(*node.service, net::Verb::kSet, "shortened", 0, 3'600,
+                    "cut");
     clock.Advance(std::chrono::seconds(30));
     // Extend past the coming outage; shorten into it. Both land as WAL
     // touch records after the stores.
-    ASSERT_TRUE(node.service->Touch("touched", 3'600));
-    ASSERT_TRUE(node.service->Touch("shortened", 40));
+    ASSERT_TRUE(net::ops::Touch(*node.service, "touched", 3'600));
+    ASSERT_TRUE(net::ops::Touch(*node.service, "shortened", 40));
     node.persister->Stop();
   }
   // 120s of downtime: the untouched 60s TTL and the shortened one lapse;
@@ -574,8 +580,8 @@ Outcome TryRecover(const std::string& dir) {
   }
   // Whatever was recovered, the cache must serve.
   std::vector<char> out;
-  (void)service.Get("probe", out, false);
-  EXPECT_TRUE(service.Set("probe", 0, "post-recovery store works"));
+  (void)net::ops::Get(service, "probe", out, false);
+  EXPECT_TRUE(net::ops::Set(service, "probe", 0, "post-recovery store works"));
   return Outcome::kRecovered;
 }
 
@@ -584,7 +590,9 @@ TEST_F(PersistRecoveryTest, CorruptionCorpusEndsInExactlyTheThreeOutcomes) {
   {
     Node node = MakeNode(pristine.path());
     StoreN(*node.service, 0, 120);
-    for (std::size_t i = 0; i < 30; ++i) node.service->Del(Key(i * 4));
+    for (std::size_t i = 0; i < 30; ++i) {
+      net::ops::Del(*node.service, Key(i * 4));
+    }
     ASSERT_TRUE(node.persister->SnapshotNow());
     StoreN(*node.service, 120, 200);
     node.service->FlushAll();
@@ -668,15 +676,16 @@ TEST_F(PersistRecoveryTest, WalErrorDisablesPersistenceCacheKeepsServing) {
   TempDir dir;
   Node node = MakeNode(dir.path());
   ASSERT_TRUE(node.persister->enabled());
-  ASSERT_TRUE(node.service->Set("pre", 0, "ok"));
+  ASSERT_TRUE(net::ops::Set(*node.service, "pre", 0, "ok"));
 
   // The next WAL write fails like a full disk would.
   util::FailPoints::Arm("persist.write", "ENOSPC@once");
-  EXPECT_TRUE(node.service->Set("during", 0, "still acked"));
+  EXPECT_TRUE(net::ops::Set(*node.service, "during", 0, "still acked"));
   EXPECT_FALSE(node.persister->enabled());
 
   // The cache serves on, read and write, with persistence off.
-  EXPECT_TRUE(node.service->Set("post", 0, "served without durability"));
+  EXPECT_TRUE(
+      net::ops::Set(*node.service, "post", 0, "served without durability"));
   EXPECT_NE(GetsBlock(*node.service, "post").find("served"),
             std::string::npos);
   std::vector<char> stats;

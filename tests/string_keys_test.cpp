@@ -9,6 +9,7 @@
 
 #include "pamakv/net/cache_service.hpp"
 #include "pamakv/policy/no_realloc.hpp"
+#include "service_ops.hpp"
 
 namespace pamakv {
 namespace {
@@ -30,12 +31,12 @@ std::unique_ptr<CacheService> MakeService(Bytes capacity = 4ULL * 1024 * 1024) {
 
 bool Hit(CacheService& svc, std::string_view key) {
   std::vector<char> out;
-  return svc.Get(key, out, /*with_cas=*/false);
+  return net::ops::Get(svc, key, out, /*with_cas=*/false);
 }
 
 std::string Value(CacheService& svc, std::string_view key) {
   std::vector<char> out;
-  if (!svc.Get(key, out, /*with_cas=*/false)) return {};
+  if (!net::ops::Get(svc, key, out, /*with_cas=*/false)) return {};
   return std::string(out.begin(), out.end());
 }
 
@@ -55,18 +56,19 @@ TEST(StringKeyTest, EmptyAndBinaryKeysWork) {
 
 TEST(StringKeyTest, SetGetDelRoundTrip) {
   auto svc = MakeService();
-  EXPECT_TRUE(svc->Set("session:alice", 30'000, std::string(200, 'a')));
+  EXPECT_TRUE(
+      net::ops::Set(*svc, "session:alice", 30'000, std::string(200, 'a')));
   EXPECT_TRUE(Hit(*svc, "session:alice"));
   EXPECT_FALSE(Hit(*svc, "session:bob"));
-  EXPECT_TRUE(svc->Del("session:alice"));
+  EXPECT_TRUE(net::ops::Del(*svc, "session:alice"));
   EXPECT_FALSE(Hit(*svc, "session:alice"));
-  EXPECT_FALSE(svc->Del("session:alice"));
+  EXPECT_FALSE(net::ops::Del(*svc, "session:alice"));
 }
 
 TEST(StringKeyTest, ManyKeysNoFalseHits) {
   auto svc = MakeService();
   for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(svc->Set("item/" + std::to_string(i), 1000, "v"));
+    ASSERT_TRUE(net::ops::Set(*svc, "item/" + std::to_string(i), 1000, "v"));
   }
   for (int i = 0; i < 2000; ++i) {
     EXPECT_TRUE(Hit(*svc, "item/" + std::to_string(i))) << i;
@@ -79,9 +81,9 @@ TEST(StringKeyTest, ManyKeysNoFalseHits) {
 
 TEST(StringKeyTest, UpdatesKeepOneCopy) {
   auto svc = MakeService();
-  ASSERT_TRUE(svc->Set("k", 1000, std::string(20, 'x')));
+  ASSERT_TRUE(net::ops::Set(*svc, "k", 1000, std::string(20, 'x')));
   // A larger value moves the item to a bigger class: still one copy.
-  ASSERT_TRUE(svc->Set("k", 2000, std::string(300, 'y')));
+  ASSERT_TRUE(net::ops::Set(*svc, "k", 2000, std::string(300, 'y')));
   EXPECT_EQ(svc->ItemCount(), 1u);
   EXPECT_EQ(Value(*svc, "k"), "VALUE k 2000 300\r\n" + std::string(300, 'y') +
                                   "\r\n");
@@ -89,11 +91,11 @@ TEST(StringKeyTest, UpdatesKeepOneCopy) {
 
 TEST(StringKeyTest, DelThenReinsertRoundTrip) {
   auto svc = MakeService();
-  ASSERT_TRUE(svc->Set("churn", 1000, "one"));
-  ASSERT_TRUE(svc->Del("churn"));
+  ASSERT_TRUE(net::ops::Set(*svc, "churn", 1000, "one"));
+  ASSERT_TRUE(net::ops::Del(*svc, "churn"));
   EXPECT_FALSE(Hit(*svc, "churn"));
   // Reinsert after delete must behave like a fresh store, not an update.
-  ASSERT_TRUE(svc->Set("churn", 2000, "two"));
+  ASSERT_TRUE(net::ops::Set(*svc, "churn", 2000, "two"));
   EXPECT_EQ(Value(*svc, "churn"), "VALUE churn 2000 3\r\ntwo\r\n");
   EXPECT_EQ(svc->TotalStats().set_updates, 0u);
   EXPECT_EQ(svc->ItemCount(), 1u);
@@ -117,7 +119,7 @@ TEST(StringKeyTest, GetResolvesCollisionAsMissAndDropsSquatter) {
   EXPECT_EQ(svc->CollisionsResolved(), 1u);
   // ...and it is gone: the id is free for the verified owner.
   EXPECT_FALSE(engine.Contains(id));
-  ASSERT_TRUE(svc->Set("victim", 1000, "mine"));
+  ASSERT_TRUE(net::ops::Set(*svc, "victim", 1000, "mine"));
   EXPECT_EQ(Value(*svc, "victim"), "VALUE victim 1000 4\r\nmine\r\n");
   EXPECT_EQ(svc->CollisionsResolved(), 1u);  // no further collisions
 }
@@ -130,7 +132,7 @@ TEST(StringKeyTest, DelOfCollidingNameAnswersNotFoundAndDropsSquatter) {
 
   // DEL of a name whose id is occupied by someone else never reports the
   // stranger as deleted; the squatter is dropped like on every verb.
-  EXPECT_FALSE(svc->Del("victim"));
+  EXPECT_FALSE(net::ops::Del(*svc, "victim"));
   EXPECT_EQ(svc->CollisionsResolved(), 1u);
   EXPECT_FALSE(engine.Contains(id));
 }
@@ -141,7 +143,7 @@ TEST(StringKeyTest, SetResolvesCollisionThenOwnsTheId) {
   const KeyId id = HashStringKey("victim");
   ASSERT_TRUE(engine.Set(id, 64, 1000).stored);
 
-  ASSERT_TRUE(svc->Set("victim", 2000, std::string(96, 'v')));
+  ASSERT_TRUE(net::ops::Set(*svc, "victim", 2000, std::string(96, 'v')));
   EXPECT_EQ(svc->CollisionsResolved(), 1u);
   EXPECT_TRUE(Hit(*svc, "victim"));
   EXPECT_EQ(svc->ItemCount(), 1u);
@@ -150,7 +152,7 @@ TEST(StringKeyTest, SetResolvesCollisionThenOwnsTheId) {
 TEST(StringKeyTest, StatsFlowThrough) {
   CacheServiceConfig cfg;
   auto svc = MakeService();
-  ASSERT_TRUE(svc->Set("x", 1000, "v"));
+  ASSERT_TRUE(net::ops::Set(*svc, "x", 1000, "v"));
   EXPECT_TRUE(Hit(*svc, "x"));
   EXPECT_FALSE(Hit(*svc, "y"));
   const CacheStats stats = svc->TotalStats();
